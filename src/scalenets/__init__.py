@@ -15,7 +15,6 @@ from .geometry import (
 )
 from .lsh import LshIndex, LshParams, QueryReport, collision_probability, derive_params
 from .forest import (
-    NetAssignment,
     NetForest,
     NetNode,
     augment_rel,

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .forest import COVER_COEF, TAU, NetForest, build_forest, vcell
-from .geometry import PointCloud, exact_meb
+from .geometry import PointCloud, exact_meb, pairwise_distances
 from .wssd import Wssd, gen_wssd
 
 __all__ = [
@@ -82,8 +82,7 @@ class FiltrationOutput:
 
 def default_grid(cloud: PointCloud, epsilon: float, t: float) -> np.ndarray:
     """Geometric grid from half the closest-pair distance up to t."""
-    diff = cloud.points[:, None, :] - cloud.points[None, :, :]
-    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    d = pairwise_distances(cloud)
     positive = d[d > 0]
     if positive.size == 0:
         return np.array([t])

@@ -190,13 +190,7 @@ def cmd_bench(args) -> int:
     for n in ns:
         for rho in rhos:
             cloud = _geometry.generate(args.kind, n=n, d=args.d, seed=args.seed)
-            dists = np.sqrt(
-                np.einsum(
-                    "ijk,ijk->ij",
-                    cloud.points[:, None, :] - cloud.points[None, :, :],
-                    cloud.points[:, None, :] - cloud.points[None, :, :],
-                )
-            )
+            dists = _geometry.pairwise_distances(cloud)
             r = float(np.quantile(dists[dists > 0], args.radius_quantile))
             params = _lsh.derive_params(n, r, rho, args.delta)
             t0 = time.perf_counter()

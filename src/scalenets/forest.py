@@ -16,8 +16,9 @@ packing statement can hold.
 
 Each node also carries a `rel` list: the close-by nodes of comparable level
 (same-or-lower level, parent level above, representative distance at most
-14 * 11^level). Root rel lists come from a near-neighbour pass at radius 7t;
-all other levels are filled top-down from the parent's lists.
+14 * 11^level). Root rel lists come from a near-neighbour pass at radius 7t
+with the selected primitive; all other levels are filled one level at a
+time from that definition with exact radius queries.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "PACK_COEF",
     "REL_COEF",
     "NetNode",
-    "NetAssignment",
     "NetForest",
     "root_level",
     "build_net",
@@ -84,13 +84,6 @@ class NetNode:
         return self.parent is None
 
 
-@dataclass(frozen=True)
-class NetAssignment:
-    """Closest-net-point assignment N(p), one entry per input point."""
-
-    netpoint: np.ndarray
-
-
 class NetForest:
     def __init__(self, nodes: list[NetNode], roots: list[int], t: float, rl: int):
         self.nodes = nodes
@@ -102,12 +95,6 @@ class NetForest:
         for node in nodes:
             if node.is_leaf:
                 self.leaf_of[int(node.points[0])] = node.id
-        # optional: per-root list of root ids within 7t (filled at build time,
-        # recomputed from coordinates when the forest was loaded from a file)
-        self.root_neighbours: dict[int, list[int]] | None = None
-
-    def node(self, node_id: int) -> NetNode:
-        return self.nodes[node_id]
 
     @property
     def n(self) -> int:
@@ -120,18 +107,16 @@ class NetForest:
         return v.id
 
     def roots_within_7t(self, cloud: PointCloud) -> dict[int, list[int]]:
-        """Per-root ids of roots with representative distance <= 7t."""
-        if self.root_neighbours is None:
-            reps = np.array([self.nodes[r].rep for r in self.roots])
-            pts = cloud.points[reps]
-            diff = pts[:, None, :] - pts[None, :, :]
-            d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-            near = d <= 7.0 * self.t
-            self.root_neighbours = {
-                self.roots[i]: [self.roots[j] for j in np.flatnonzero(near[i])]
-                for i in range(len(self.roots))
-            }
-        return self.root_neighbours
+        """Per-root ids of roots with representative distance <= 7t.
+
+        These lists seed cross-tree searches (WSPD, WSSD) whose reach must
+        not depend on how far the root level was rounded down. One exact
+        radius query over the root representatives, for built and loaded
+        forests alike.
+        """
+        reps = cloud.points[np.asarray([self.nodes[r].rep for r in self.roots], dtype=np.intp)]
+        near = ExactNearNeighbours(reps, 7.0 * self.t).near_rows(reps)
+        return {r: [self.roots[j] for j in hits] for r, hits in zip(self.roots, near)}
 
 
 def root_level(t: float) -> int:
@@ -147,13 +132,14 @@ def root_level(t: float) -> int:
     return lev
 
 
-def build_net(cloud: PointCloud, t: float, nn) -> tuple[NetAssignment, list[int]]:
+def build_net(cloud: PointCloud, t: float, nn) -> tuple[np.ndarray, list[int]]:
     """Greedy (t,t)-net with closest-net-point assignment.
 
-    Scans points in ascending index order; each unassigned point becomes a
-    net point and claims every point within t that is unassigned or strictly
-    closer to it than to its current net point. `nn` maps a point index to
-    the indices within distance t.
+    Returns the assigned net point N(p) of every input point and the net
+    points in scan order. Scans points in ascending index order; each
+    unassigned point becomes a net point and claims every point within t
+    that is unassigned or strictly closer to it than to its current net
+    point. `nn` maps a point index to the indices within distance t.
     """
     if t <= 0:
         raise ValueError("scale cap t must be positive")
@@ -176,51 +162,32 @@ def build_net(cloud: PointCloud, t: float, nn) -> tuple[NetAssignment, list[int]
             d_new = np.linalg.norm(pts[rest] - pts[p], axis=1)
             d_cur = np.linalg.norm(pts[rest] - pts[netpoint[rest]], axis=1)
             netpoint[rest[d_new < d_cur]] = p
-    return NetAssignment(netpoint=netpoint), nets
+    return netpoint, nets
 
 
-def build_root_rel(
-    net_points: np.ndarray, t: float, nn7t
-) -> tuple[list[list[int]], list[list[int]]]:
-    """Rel lists for the roots, plus the raw within-7t neighbour lists.
+def build_root_rel(net_points: np.ndarray, t: float, nn7t) -> list[list[int]]:
+    """Rel lists for the roots, as local positions.
 
-    `net_points` are the root representatives (one row each); `nn7t` answers
-    radius-7t queries over exactly these rows. Two roots are related when
-    their representatives are within 14 * 11^root_level; that threshold is
-    at most 7t, so the 7t pass suffices. Both the filtered rel lists and the
-    unfiltered 7t lists are returned (local positions); the 7t lists seed
-    cross-tree searches whose reach must not depend on how far the root
-    level was rounded down.
+    `net_points` are the root representatives (one row each); `nn7t` is a
+    radius-7t primitive over exactly these rows, read through its
+    `all_near_pairs`. Two roots are related when their representatives are
+    within 14 * 11^root_level; that threshold is at most 7t, so the 7t pass
+    suffices.
     """
     net_points = np.asarray(net_points, dtype=np.float64)
     m = net_points.shape[0]
     threshold = REL_COEF * float(TAU) ** root_level(t)
     near = [[i] for i in range(m)]
     if m > 1:
-        if hasattr(nn7t, "all_near_pairs"):
-            pairs = nn7t.all_near_pairs()
-        else:
-            seen = set()
-            pair_list = []
-            for i in range(m):
-                for j in np.asarray(nn7t(i), dtype=np.intp):
-                    if i < int(j) and (i, int(j)) not in seen:
-                        seen.add((i, int(j)))
-                        pair_list.append((i, int(j)))
-            pairs = np.array(sorted(pair_list), dtype=np.intp).reshape(-1, 2)
-        for i, j in pairs:
+        for i, j in nn7t.all_near_pairs():
             near[int(i)].append(int(j))
             near[int(j)].append(int(i))
-    near = [sorted(lst) for lst in near]
-    rel: list[list[int]] = []
-    for i in range(m):
-        kept = [
-            j
-            for j in near[i]
-            if np.linalg.norm(net_points[i] - net_points[j]) <= threshold
-        ]
-        rel.append(kept)
-    return rel, near
+    return [
+        sorted(
+            j for j in near[i] if np.linalg.norm(net_points[i] - net_points[j]) <= threshold
+        )
+        for i in range(m)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -420,12 +387,11 @@ def build_forest(
     else:
         params = _lsh.derive_params(cloud.n, t, rho, delta)
         nn_t = _lsh.LshIndex(cloud.points, params, seed)
-    assignment, nets = build_net(cloud, t, nn_t)
+    netpoint, nets = build_net(cloud, t, nn_t)
 
     m = len(nets)
     if m < 2:
         root_rel = [[0]] if m == 1 else []
-        near7 = [[0]] if m == 1 else []
     else:
         net_pts = cloud.points[np.asarray(nets, dtype=np.intp)]
         if nn == "exact":
@@ -433,13 +399,13 @@ def build_forest(
         else:
             params7 = _lsh.derive_params(m, 7.0 * t, rho, delta)
             nn_7t = _lsh.LshIndex(net_pts, params7, seed + 1)
-        root_rel, near7 = build_root_rel(net_pts, t, nn_7t)
+        root_rel = build_root_rel(net_pts, t, nn_7t)
 
     rl = root_level(t)
     all_nodes: list[NetNode] = []
     roots: list[int] = []
     for pos, net_pt in enumerate(nets):
-        members = np.flatnonzero(assignment.netpoint == net_pt)
+        members = np.flatnonzero(netpoint == net_pt)
         fragment = build_cluster_tree(cloud, members, net_pt, rl)
         offset = len(all_nodes)
         for node in fragment:
@@ -451,9 +417,6 @@ def build_forest(
         roots.append(offset)
 
     forest = NetForest(all_nodes, roots, t, rl)
-    forest.root_neighbours = {
-        roots[i]: [roots[j] for j in near7[i]] for i in range(m)
-    }
     for i in range(m):
         all_nodes[roots[i]].rel = sorted(roots[j] for j in root_rel[i])
     augment_rel(forest, cloud)
@@ -484,48 +447,37 @@ def descend_to_level(forest: NetForest, node_id: int, level: int) -> list[int]:
     return out
 
 
-def _rel_candidates(forest: NetForest, cloud: PointCloud, u: NetNode) -> list[int]:
-    parent = forest.nodes[u.parent]
-    if parent.is_root:
-        sources = forest.roots_within_7t(cloud)[parent.id]
-    else:
-        sources = parent.rel
-    seen: set[int] = set()
-    out: list[int] = []
-    for w in sources:
-        for v in descend_to_level(forest, w, u.level):
-            if v not in seen:
-                seen.add(v)
-                out.append(v)
-    return out
-
-
 def augment_rel(forest: NetForest, cloud: PointCloud) -> None:
-    """Fill rel lists for all non-root nodes, top-down by level.
+    """Fill rel lists for all non-root nodes, one distinct level L at a time.
 
-    Requires root rel lists (and 7t root neighbour lists) to be present.
-    Candidates for a node are the cells at its level inside the subtrees of
-    its parent's rel members; for children of roots the parent's 7t
-    neighbour list is used instead, because the rounded-down root level can
-    make the root rel radius smaller than what cross-tree completeness
-    needs.
+    The rel list of a level-L node holds the level-L cells (nodes at level
+    at most L, or leaves, whose parent sits above L, or roots) with
+    representative within 14 * 11^L: the definition `brute_force_rel`
+    checks. One kd-tree radius query per level finds them. The paper fills
+    these lists top-down from the parent's lists because it assumes only an
+    approximate near-neighbour primitive; every candidate is kept or dropped
+    by its exact distance either way, so the lists are the same. Root rel
+    lists come from `build_root_rel` and are left as they are.
     """
-    for r in forest.roots:
-        if not forest.nodes[r].rel:
-            raise RuntimeError("root rel lists must be computed before augmenting")
     pts = cloud.points
-    order = sorted(
-        (v for v in forest.nodes if not v.is_root),
-        key=lambda v: (-v.level, v.id),
-    )
-    for u in order:
-        threshold = REL_COEF * float(TAU) ** u.level
-        rel: list[int] = []
-        for vid in _rel_candidates(forest, cloud, u):
-            v = forest.nodes[vid]
-            if np.linalg.norm(pts[u.rep] - pts[v.rep]) <= threshold:
-                rel.append(vid)
-        u.rel = sorted(rel)
+    nodes = forest.nodes
+    rep = np.array([v.rep for v in nodes], dtype=np.intp)
+    level = np.array([v.level for v in nodes])
+    low = np.where([v.is_leaf for v in nodes], -np.inf, level)
+    high = np.array([np.inf if v.is_root else nodes[v.parent].level for v in nodes])
+    non_root = np.isfinite(high)
+    for lev in np.unique(level[non_root]).tolist():
+        members = np.flatnonzero(non_root & (level == lev))
+        cells = np.flatnonzero((low <= lev) & (lev < high))
+        threshold = REL_COEF * float(TAU) ** lev
+        # the kd-tree radius is padded so that its own rounding cannot drop
+        # a pair; the oracle's norm expression makes the final call on ties
+        index = ExactNearNeighbours(pts[rep[cells]], threshold * (1 + 1e-9))
+        for u, hits in zip(members.tolist(), index.near_rows(pts[rep[members]])):
+            here = pts[rep[u]]
+            nodes[u].rel = [
+                int(cells[j]) for j in hits if np.linalg.norm(here - index.points[j]) <= threshold
+            ]
 
 
 def brute_force_rel(forest: NetForest, cloud: PointCloud, u_id: int) -> list[int]:
@@ -727,7 +679,6 @@ def read_forest(path: str | Path) -> NetForest:
         raise ValueError(f"{path}: node ids must be dense")
 
     # rebuild subtree point sets from the leaves upward
-    order = sorted(nodes, key=lambda v: bool(v.children))
     for v in nodes:
         if not v.children:
             v.points = np.asarray([v.rep], dtype=np.intp)

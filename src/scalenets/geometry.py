@@ -97,9 +97,9 @@ def distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.linalg.norm(p - q))
 
 
-def pairwise_distances(cloud: PointCloud) -> np.ndarray:
-    """Full n x n distance matrix (desk-scale helper)."""
-    pts = cloud.points
+def pairwise_distances(points: PointCloud | np.ndarray) -> np.ndarray:
+    """Full n x n distance matrix of a cloud or an (n, d) array (desk scale)."""
+    pts = points.points if isinstance(points, PointCloud) else np.asarray(points, dtype=np.float64)
     diff = pts[:, None, :] - pts[None, :, :]
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
@@ -389,6 +389,11 @@ class ExactNearNeighbours:
     def __call__(self, i: int) -> np.ndarray:
         hits = self._tree.query_ball_point(self.points[i], self.r)
         return np.sort(np.asarray(hits, dtype=np.intp))
+
+    def near_rows(self, queries: np.ndarray) -> list[np.ndarray]:
+        """Sorted indices within the radius of each query row, in one batch."""
+        hits = self._tree.query_ball_point(queries, self.r)
+        return [np.sort(np.asarray(h, dtype=np.intp)) for h in hits]
 
     def all_near_pairs(self) -> np.ndarray:
         """All index pairs (i < j) within the query radius."""

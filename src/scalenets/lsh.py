@@ -18,7 +18,6 @@ __all__ = [
     "LshParams",
     "LshIndex",
     "QueryReport",
-    "build",
     "collision_probability",
     "derive_params",
     "table_count",
@@ -160,30 +159,37 @@ class LshIndex:
         self._dirs = rng.standard_normal((params.l, params.k, d))
         self._offs = rng.uniform(0.0, params.w, size=(params.l, params.k))
 
+        # bucket ids run on across tables; bucket b lists its points in
+        # ascending order as self._order[self._starts[b] : self._starts[b + 1]]
         self._gids = np.empty((params.l, n), dtype=np.intp)
-        self._order: list[np.ndarray] = []
-        self._starts: list[np.ndarray] = []
+        self._order = np.empty(params.l * n, dtype=np.intp)
+        starts: list[np.ndarray] = []
+        buckets = 0
         for i in range(params.l):
             keys = np.floor(
                 (points @ self._dirs[i].T + self._offs[i]) / params.w
             ).astype(np.int64)
-            _, gid = np.unique(keys, axis=0, return_inverse=True)
-            gid = gid.ravel()
-            self._gids[i] = gid
-            order = np.argsort(gid, kind="stable")
-            counts = np.bincount(gid)
-            starts = np.concatenate(([0], np.cumsum(counts)))
-            self._order.append(order)
-            self._starts.append(starts)
+            keys -= keys.min(axis=0)
+            span = keys.max(axis=0) + 1
+            if np.prod(span, dtype=np.float64) < 2.0**62:
+                # one mixed-radix code per row, column 0 most significant:
+                # the same grouping and order from a single sort key
+                keys = (keys @ np.append(np.cumprod(span[::-1])[::-1][1:], 1))[:, None]
+            # lexsort ranks rows lexicographically, column 0 first; it is
+            # stable, so each bucket lists its points in ascending order
+            order = np.lexsort(keys.T[::-1])
+            ranked = keys[order]
+            first = np.ones(n, dtype=bool)
+            first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+            self._gids[i, order] = np.cumsum(first) - 1 + buckets
+            self._order[i * n : (i + 1) * n] = order
+            starts.append(np.flatnonzero(first) + i * n)
+            buckets += starts[-1].size
+        self._starts = np.concatenate([*starts, [params.l * n]])
 
     @property
     def n(self) -> int:
         return self.points.shape[0]
-
-    def _bucket(self, table: int, point: int) -> np.ndarray:
-        gid = self._gids[table, point]
-        starts = self._starts[table]
-        return self._order[table][starts[gid] : starts[gid + 1]]
 
     def query(self, q: int, r: float) -> QueryReport:
         """Verified neighbours of an indexed point within radius r (= r1)."""
@@ -191,20 +197,20 @@ class LshIndex:
             raise ValueError(f"point {q} was not indexed")
         if not math.isclose(r, self.params.r1, rel_tol=1e-12):
             raise ValueError(f"index built for radius {self.params.r1}, queried at {r}")
-        chunks = [self._bucket(i, q) for i in range(self.params.l)]
-        scanned = int(sum(c.size for c in chunks))
-        cands = np.unique(np.concatenate(chunks))
+        lo = self._starts[self._gids[:, q]]
+        sizes = self._starts[self._gids[:, q] + 1] - lo
+        scanned = int(sizes.sum())
+        # positions of the members of q's bucket in every table, in one array
+        pos = np.arange(scanned) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
+        cands = np.unique(self._order[pos])
         d = np.linalg.norm(self.points[cands] - self.points[q], axis=1)
         hits = cands[d <= r]
         return QueryReport(neighbours=frozenset(int(i) for i in hits), candidates_scanned=scanned)
 
-    def near(self, q: int) -> np.ndarray:
+    def __call__(self, q: int) -> np.ndarray:
         """Sorted neighbour indices at the index radius (primitive surface)."""
         report = self.query(q, self.params.r1)
         return np.array(sorted(report.neighbours), dtype=np.intp)
-
-    def __call__(self, q: int) -> np.ndarray:
-        return self.near(q)
 
     def collide_mask(self, pairs: np.ndarray) -> np.ndarray:
         """For each (i, j) row: do i and j share a bucket in any table?"""
@@ -218,19 +224,17 @@ class LshIndex:
     def all_near_pairs(self) -> np.ndarray:
         """All pairs (i < j) that collide somewhere and are within r1.
 
-        Same output as running `near` for every indexed point, gathered
+        Same output as calling the index on every indexed point, gathered
         symmetrically; used when every point is queried anyway.
         """
         n = self.n
         adjacency = np.zeros(n * n, dtype=bool)
-        for i in range(self.params.l):
-            order, starts = self._order[i], self._starts[i]
-            for b in range(starts.size - 1):
-                members = order[starts[b] : starts[b + 1]]
-                if members.size < 2:
-                    continue
-                flat = (members[:, None] * n + members[None, :]).ravel()
-                adjacency[flat] = True
+        for b in range(self._starts.size - 1):
+            members = self._order[self._starts[b] : self._starts[b + 1]]
+            if members.size < 2:
+                continue
+            flat = (members[:, None] * n + members[None, :]).ravel()
+            adjacency[flat] = True
         idx = np.flatnonzero(adjacency)
         ii, jj = idx // n, idx % n
         keep = ii < jj
@@ -240,8 +244,3 @@ class LshIndex:
         out = np.stack([ii[keep], jj[keep]], axis=1)
         order = np.lexsort((out[:, 1], out[:, 0]))
         return out[order]
-
-
-def build(points: np.ndarray, params: LshParams, seed: int) -> LshIndex:
-    """Functional alias for LshIndex construction."""
-    return LshIndex(points, params, seed)

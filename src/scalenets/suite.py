@@ -139,7 +139,7 @@ def lsh_soundness(seed: int) -> PropertyReport:
     index = _lsh.LshIndex(cloud.points, params, seed)
     bad = None
     for q in range(cloud.n):
-        got = set(map(int, index.near(q)))
+        got = set(map(int, index(q)))
         want = set(_geom.brute_near_neighbours(cloud, q, r).tolist())
         if not got <= want:
             bad = f"query {q}: extras {sorted(got - want)}"

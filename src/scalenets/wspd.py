@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .forest import COVER_COEF, TAU, NetForest
-from .geometry import PointCloud
+from .geometry import PointCloud, pairwise_distances
 
 __all__ = [
     "WsPair",
@@ -67,10 +67,11 @@ def gen_wspd(
 ) -> Wspd:
     """Well-separated pairs covering all point pairs within the forest scale.
 
-    Seeds on every root pair within 7t (the radius the root neighbour pass
-    queried at) and recursively splits the node with the larger diameter
-    bound until the separation test passes. Deterministic: ties split the
-    smaller node id, output is sorted.
+    Seeds on every root pair within 7t (`NetForest.roots_within_7t`, an
+    exact radius query over the root representatives, so built and loaded
+    forests seed alike) and recursively splits the node with the larger
+    diameter bound until the separation test passes. Deterministic: ties
+    split the smaller node id, output is sorted.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0,1)")
@@ -126,9 +127,7 @@ class WspdReport:
 def _exact_diameter(pts: np.ndarray, idx: np.ndarray) -> float:
     if idx.size < 2:
         return 0.0
-    sub = pts[idx]
-    diff = sub[:, None, :] - sub[None, :, :]
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max()))
+    return float(pairwise_distances(pts[idx]).max())
 
 
 def verify_wspd(
@@ -160,8 +159,7 @@ def verify_wspd(
         covered[np.ix_(nv.points, nu.points)] = True
 
     coverage: list[tuple[int, int]] = []
-    diff = pts[:, None, :] - pts[None, :, :]
-    dmat = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    dmat = pairwise_distances(cloud)
     for p in range(cloud.n):
         for q in range(p + 1, cloud.n):
             if dmat[p, q] <= t and not covered[p, q]:

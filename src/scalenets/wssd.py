@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .forest import COVER_COEF, TAU, NetForest, descend_to_level
-from .geometry import Ball, PointCloud, exact_meb
+from .geometry import Ball, PointCloud, exact_meb, pairwise_distances
 from .wspd import gen_wspd
 
 __all__ = [
@@ -121,8 +121,8 @@ def gen_wssd(
     if its cached ball still allows a witnessed simplex of radius at most
     t; the new nodes are the cells at a level small enough to keep every
     extension well-separated, gathered through the rel lists of an ancestor
-    (or through the root 7*(2t) neighbour lists when the required ancestor
-    level exceeds the root level).
+    (or through the roots within 7*(2t), from `NetForest.roots_within_7t`,
+    when the required ancestor level exceeds the root level).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0,1)")
@@ -289,9 +289,7 @@ def verify_wssd(
             diam = 0.0
             for s in sets:
                 if s.size > 1:
-                    sub = pts[s]
-                    diff = sub[:, None, :] - sub[None, :, :]
-                    diam = max(diam, float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff).max())))
+                    diam = max(diam, float(pairwise_distances(pts[s]).max()))
             gap_half = 0.0
             for a in range(len(sets)):
                 for b in range(a + 1, len(sets)):

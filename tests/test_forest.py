@@ -6,7 +6,6 @@ from scalenets.forest import (
     PACK_COEF,
     REL_COEF,
     TAU,
-    augment_rel,
     brute_force_rel,
     build_cluster_tree,
     build_forest,
@@ -45,10 +44,10 @@ def test_build_net_collinear_replay():
     pts = np.array([[float(i)] for i in range(11)])
     cloud = PointCloud(pts)
     nn = ExactNearNeighbours(pts, 3.0)
-    assignment, nets = build_net(cloud, 3.0, nn)
+    netpoint, nets = build_net(cloud, 3.0, nn)
     assert nets == [0, 4, 8]
     expected = [0, 0, 0, 4, 4, 4, 4, 8, 8, 8, 8]
-    assert assignment.netpoint.tolist() == expected
+    assert netpoint.tolist() == expected
 
 
 def test_build_net_single_cluster():
@@ -63,23 +62,23 @@ def test_build_net_duplicates():
     pts = np.tile(np.array([[1.0, 2.0]]), (6, 1))
     cloud = PointCloud(pts)
     nn = ExactNearNeighbours(pts, 1.0)
-    assignment, nets = build_net(cloud, 1.0, nn)
+    netpoint, nets = build_net(cloud, 1.0, nn)
     assert nets == [0]
-    assert assignment.netpoint.tolist() == [0] * 6
+    assert netpoint.tolist() == [0] * 6
 
 
 def test_closest_assignment_postcondition():
     cloud = generate("uniform", n=120, d=2, seed=5)
     t = quantile_scale(cloud, 0.3)
     nn = ExactNearNeighbours(cloud.points, t)
-    assignment, nets = build_net(cloud, t, nn)
+    netpoint, nets = build_net(cloud, t, nn)
     net_pts = cloud.points[nets]
     for p in range(cloud.n):
         d = np.linalg.norm(net_pts - cloud.points[p], axis=1)
-        assert np.linalg.norm(cloud.points[assignment.netpoint[p]] - cloud.points[p]) <= d.min() + 1e-12
+        assert np.linalg.norm(cloud.points[netpoint[p]] - cloud.points[p]) <= d.min() + 1e-12
         # assigned net point of a net point is itself
     for m in nets:
-        assert assignment.netpoint[m] == m
+        assert netpoint[m] == m
 
 
 def test_build_root_rel_threshold_boundary():
@@ -87,21 +86,20 @@ def test_build_root_rel_threshold_boundary():
     for gap, related in [(14.0, True), (14.1, False)]:
         pts = np.array([[0.0], [gap]])
         nn7 = ExactNearNeighbours(pts, 7 * 2.2)
-        rel, near = build_root_rel(pts, 2.2, nn7)
+        rel = build_root_rel(pts, 2.2, nn7)
         assert (1 in rel[0]) is related
-        assert near[0] == [0, 1]  # both within 7t either way
 
 
 def test_build_root_rel_singleton():
     pts = np.array([[3.0, 1.0]])
-    rel, near = build_root_rel(pts, 1.0, ExactNearNeighbours(pts, 7.0))
-    assert rel == [[0]] and near == [[0]]
+    rel = build_root_rel(pts, 1.0, ExactNearNeighbours(pts, 7.0))
+    assert rel == [[0]]
 
 
 def test_build_root_rel_far_clusters():
     pts = np.array([[0.0], [500.0]])
     t = 1.0
-    rel, near = build_root_rel(pts, t, ExactNearNeighbours(pts, 7 * t))
+    rel = build_root_rel(pts, t, ExactNearNeighbours(pts, 7 * t))
     assert rel == [[0], [1]]
 
 
@@ -136,11 +134,34 @@ def test_forest_invariants_all_corpora(corpora):
         assert bad == [], f"{name}: {bad[:3]}"
 
 
-def test_rel_topdown_equals_bruteforce(corpora):
-    for name, cloud, t in corpora[:3]:
-        forest = build_forest(cloud, t, nn="exact")
+def test_rel_equals_bruteforce(corpora):
+    builds = [(name, cloud, t, "exact") for name, cloud, t in corpora]
+    builds += [
+        ("duplicates", PointCloud(np.vstack([np.zeros((3, 2)), [[4.0, 0.0]]])), 1.0, "exact"),
+        ("single", PointCloud(np.array([[0.3, -1.2]])), 1.0, "exact"),
+    ]
+    lsh_cloud = generate("clustered", n=100, d=3, seed=21, clusters=5)
+    builds.append(("clustered-lsh", lsh_cloud, quantile_scale(lsh_cloud, 0.2), "lsh"))
+    for name, cloud, t, nn in builds:
+        forest = build_forest(cloud, t, seed=2, nn=nn)
         for v in forest.nodes:
             assert v.rel == brute_force_rel(forest, cloud, v.id), f"{name} node {v.id}"
+
+
+def test_roots_within_7t_built_and_loaded_agree(tmp_path, corpora):
+    # 1-d root pairs exactly at 7t and one ulp beyond it
+    for gap, kept in [(7.0, True), (np.nextafter(7.0, 8.0), False)]:
+        cloud = PointCloud(np.array([[0.0], [gap]]))
+        forest = build_forest(cloud, 1.0, nn="exact")
+        assert len(forest.roots) == 2
+        a, b = forest.roots
+        want = {a: [a, b], b: [a, b]} if kept else {a: [a], b: [b]}
+        assert forest.roots_within_7t(cloud) == want
+    for name, cloud, t in corpora:
+        forest = build_forest(cloud, t, nn="exact")
+        write_forest(tmp_path / "forest.txt", forest, cloud.dim)
+        back = read_forest(tmp_path / "forest.txt")
+        assert back.roots_within_7t(cloud) == forest.roots_within_7t(cloud), name
 
 
 def test_rel_symmetric_for_roots(corpora):
@@ -163,16 +184,6 @@ def test_isolated_cluster_rel_stays_home():
         in_far = forest.root_of(v.id) in far_roots
         for w in v.rel:
             assert (forest.root_of(w) in far_roots) == in_far
-
-
-def test_augment_requires_root_rel():
-    cloud = generate("uniform", n=20, d=2, seed=2)
-    t = quantile_scale(cloud, 0.3)
-    forest = build_forest(cloud, t, nn="exact")
-    for r in forest.roots:
-        forest.nodes[r].rel = []
-    with pytest.raises(RuntimeError):
-        augment_rel(forest, cloud)
 
 
 def test_extract_net_boundaries(corpora):

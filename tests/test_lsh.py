@@ -85,13 +85,28 @@ def test_duplicates_share_all_buckets():
     assert np.array_equal(index._gids[:, 0], index._gids[:, 1])
 
 
+@pytest.mark.parametrize("far", [1.0, 1e12])
+def test_buckets_group_keys_exactly(far):
+    # with one point out at 1e12 the k hash columns span too much to share
+    # one int64 code, while the unit cube still fills shared buckets
+    cloud = generate("uniform", n=80, d=3, seed=8)
+    pts = np.vstack([cloud.points, cloud.points[:5], [[far, -far, far]]])
+    params = derive_params(86, 0.1, 0.5, 0.1)
+    index = LshIndex(pts, params, seed=4)
+    for i in range(params.l):
+        keys = np.floor((pts @ index._dirs[i].T + index._offs[i]) / params.w).astype(np.int64)
+        _, want = np.unique(keys, axis=0, return_inverse=True)
+        assert np.array_equal(index._gids[i] - index._gids[i].min(), want.ravel())
+
+
 def test_total_stored_entries():
     cloud = generate("uniform", n=200, d=4, seed=3)
     r = quantile_scale(cloud, 0.05)
     params = derive_params(200, r, 0.5, 0.1)
     index = LshIndex(cloud.points, params, seed=2)
-    for table in range(params.l):
-        assert index._starts[table][-1] == 200
+    # every table stores every point exactly once
+    per_table = np.sort(index._order.reshape(params.l, 200), axis=1)
+    assert np.array_equal(per_table, np.tile(np.arange(200), (params.l, 1)))
 
 
 def test_query_soundness_and_isolated_point():
@@ -105,7 +120,7 @@ def test_query_soundness_and_isolated_point():
     report = index.query(30, r)
     assert report.neighbours == frozenset({30})
     for q in range(31):
-        got = set(map(int, index.near(q)))
+        got = set(map(int, index(q)))
         want = set(brute_near_neighbours(cloud, q, r).tolist())
         assert got <= want
 
@@ -138,7 +153,7 @@ def test_all_near_pairs_matches_queries():
     index = LshIndex(cloud.points, params, seed=17)
     from_queries = set()
     for q in range(70):
-        for j in index.near(q):
+        for j in index(q):
             if q < j:
                 from_queries.add((q, int(j)))
     from_pairs = {(int(i), int(j)) for i, j in index.all_near_pairs()}
