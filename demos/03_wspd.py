@@ -24,6 +24,10 @@ for eps in (0.3, 0.5, 0.8):
     print(f"eps={eps}: {len(wspd.pairs):6d} node pairs cover {pairs_within_t} point pairs; "
           f"violations: {len(report.separation_violations)} separation, "
           f"{len(report.coverage_violations)} coverage")
+# pairs are one sorted (m, 2) array of node ids, u <= v in every row
+u, v = wspd.pairs[0]
+print(f"first pair: nodes {u} and {v} at levels "
+      f"{forest.nodes[u].level} and {forest.nodes[v].level}")
 
 # size scales linearly in n once density is held fixed
 print("\nsize trend at constant density:")

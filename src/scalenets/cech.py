@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .forest import COVER_COEF, TAU, NetForest, build_forest, vcell
-from .geometry import PointCloud, exact_meb, pairwise_distances
+from .geometry import PointCloud, exact_meb, row_distances
 from .wssd import Wssd, gen_wssd
 
 __all__ = [
@@ -81,9 +81,23 @@ class FiltrationOutput:
 
 
 def default_grid(cloud: PointCloud, epsilon: float, t: float) -> np.ndarray:
-    """Geometric grid from half the closest-pair distance up to t."""
-    d = pairwise_distances(cloud)
-    positive = d[d > 0]
+    """Geometric grid from half the closest-pair distance up to t.
+
+    A kd-tree over the distinct points finds the closest pair; every pair
+    within a 1e-9 relative band of it is measured again with the
+    `pairwise_distances` expression, so the grid is the one the full
+    distance matrix gives, without building it.
+    """
+    from scipy.spatial import cKDTree
+
+    distinct = np.unique(cloud.points, axis=0)
+    positive = np.empty(0)
+    if len(distinct) > 1:
+        tree = cKDTree(distinct)
+        nearest = float(tree.query(distinct, k=2)[0][:, 1].min())
+        close = tree.query_pairs(nearest * (1 + 1e-9), output_type="ndarray")
+        d = row_distances(distinct[close[:, 0]], distinct[close[:, 1]])
+        positive = d[d > 0]
     if positive.size == 0:
         return np.array([t])
     alpha = float(positive.min()) / 2.0

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import ExactNearNeighbours, PointCloud
+from .geometry import ExactNearNeighbours, PointCloud, row_distances
 
 __all__ = [
     "TAU",
@@ -172,22 +172,23 @@ def build_root_rel(net_points: np.ndarray, t: float, nn7t) -> list[list[int]]:
     radius-7t primitive over exactly these rows, read through its
     `all_near_pairs`. Two roots are related when their representatives are
     within 14 * 11^root_level; that threshold is at most 7t, so the 7t pass
-    suffices.
+    suffices. All pairs are measured in one batch; those within a 1e-9
+    relative band of the threshold are decided by the scalar norm.
     """
     net_points = np.asarray(net_points, dtype=np.float64)
     m = net_points.shape[0]
     threshold = REL_COEF * float(TAU) ** root_level(t)
-    near = [[i] for i in range(m)]
-    if m > 1:
-        for i, j in nn7t.all_near_pairs():
-            near[int(i)].append(int(j))
-            near[int(j)].append(int(i))
-    return [
-        sorted(
-            j for j in near[i] if np.linalg.norm(net_points[i] - net_points[j]) <= threshold
-        )
-        for i in range(m)
-    ]
+    pairs = np.asarray(nn7t.all_near_pairs() if m > 1 else [], dtype=np.intp).reshape(-1, 2)
+    i, j = pairs[:, 0], pairs[:, 1]
+    dist = row_distances(net_points[i], net_points[j])
+    keep = dist <= threshold
+    for k in np.flatnonzero(np.abs(dist - threshold) <= 1e-9 * threshold):
+        keep[k] = np.linalg.norm(net_points[i[k]] - net_points[j[k]]) <= threshold
+    own = np.arange(m, dtype=np.intp)
+    rows = np.concatenate((own, i[keep], j[keep]))
+    cols = np.concatenate((own, j[keep], i[keep]))
+    ends = np.cumsum(np.bincount(rows, minlength=m))
+    return [c.tolist() for c in np.split(cols[np.lexsort((cols, rows))], ends)[:-1]]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ __all__ = [
     "Ball",
     "distance",
     "pairwise_distances",
+    "row_distances",
     "brute_near_neighbours",
     "exact_meb",
     "brute_restricted_doubling",
@@ -100,7 +101,15 @@ def distance(p: np.ndarray, q: np.ndarray) -> float:
 def pairwise_distances(points: PointCloud | np.ndarray) -> np.ndarray:
     """Full n x n distance matrix of a cloud or an (n, d) array (desk scale)."""
     pts = points.points if isinstance(points, PointCloud) else np.asarray(points, dtype=np.float64)
-    diff = pts[:, None, :] - pts[None, :, :]
+    return _norm_last(pts[:, None, :] - pts[None, :, :])
+
+
+def row_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a[i] - b[i]| for each row, by the same expression as `pairwise_distances`."""
+    return _norm_last((a - b)[:, None, :])[:, 0]
+
+
+def _norm_last(diff: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 

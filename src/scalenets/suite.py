@@ -375,9 +375,9 @@ def wspd_truncation(seed: int) -> PropertyReport:
     cloud, t, forest, wspd = _wspd_instance(seed)
     rl = forest.root_level
     bad = [
-        (p.u, p.v)
-        for p in wspd.pairs
-        if forest.nodes[p.u].level > rl or forest.nodes[p.v].level > rl
+        (u, v)
+        for u, v in wspd.pairs.tolist()
+        if forest.nodes[u].level > rl or forest.nodes[v].level > rl
     ]
     return _report("wspd.truncation", "clustered n=200", not bad, bad[:3], seed, "")
 
@@ -394,8 +394,8 @@ def _wssd_instance(seed: int, n=35, k=2, eps=0.5):
 
 def wssd_base_tier(seed: int) -> PropertyReport:
     cloud, t, forest, wssd = _wssd_instance(seed)
-    pairs = [_wspd.WsPair(min(w.nodes), max(w.nodes)) for w in wssd.tiers[1]]
-    wspd = _wspd.Wspd(pairs=sorted(pairs), epsilon=0.25, t=2 * t)
+    pairs = np.array([w.nodes for w in wssd.tiers[1]], dtype=np.intp).reshape(-1, 2)
+    wspd = _wspd.Wspd(pairs=np.unique(np.sort(pairs, axis=1), axis=0), epsilon=0.25, t=2 * t)
     report = _wspd.verify_wspd(cloud, forest, wspd, 0.25, 2 * t)
     return _report(
         "wssd.base-tier-wspd",

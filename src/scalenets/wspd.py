@@ -16,10 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from .forest import COVER_COEF, TAU, NetForest
-from .geometry import PointCloud, pairwise_distances
+from .geometry import PointCloud, pairwise_distances, row_distances
 
 __all__ = [
-    "WsPair",
     "Wspd",
     "WspdReport",
     "diam_bound",
@@ -29,20 +28,20 @@ __all__ = [
     "read_wspd",
 ]
 
-
-@dataclass(frozen=True, order=True)
-class WsPair:
-    u: int
-    v: int
-
-    def __post_init__(self) -> None:
-        if self.u > self.v:
-            raise ValueError("pairs are stored with u <= v")
+# pairs popped from the frontier per array step; bounds the temporaries
+_BLOCK = 8192
+# relative band around the separation threshold inside which the batched
+# distance is replaced by the scalar expression, so an ulp cannot flip a call
+_TIE_RTOL = 1e-9
+# pair lines formatted per write
+_WRITE_CHUNK = 65536
 
 
 @dataclass
 class Wspd:
-    pairs: list[WsPair]
+    """Node pairs as a sorted (m, 2) intp array of rows (u, v) with u <= v."""
+
+    pairs: np.ndarray
     epsilon: float
     t: float
 
@@ -62,6 +61,12 @@ def diam_bound(forest: NetForest, node_id: int) -> float:
     return 2.0 * COVER_COEF * float(TAU) ** v.level
 
 
+def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(k) for every k in `lengths`."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - lengths, lengths)
+
+
 def gen_wspd(
     forest: NetForest, cloud: PointCloud, epsilon: float, t: float | None = None
 ) -> Wspd:
@@ -69,9 +74,15 @@ def gen_wspd(
 
     Seeds on every root pair within 7t (`NetForest.roots_within_7t`, an
     exact radius query over the root representatives, so built and loaded
-    forests seed alike) and recursively splits the node with the larger
-    diameter bound until the separation test passes. Deterministic: ties
-    split the smaller node id, output is sorted.
+    forests seed alike) and splits the node with the larger diameter bound
+    (`diam_bound`; ties split the smaller id) until the separation test
+    max(da, db) <= epsilon * dist passes. A self pair (a, a) expands to
+    every child pair (i <= j). The frontier is a stack of pair arrays,
+    popped in blocks of at most `_BLOCK` rows and tested with one batched
+    distance per block; rows within a 1e-9 relative band of the threshold
+    are decided again with the scalar norm of the representatives, so the
+    pair set does not depend on how distances are batched. Returns the
+    distinct emitted pairs as a sorted (m, 2) array with u <= v.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0,1)")
@@ -81,37 +92,69 @@ def gen_wspd(
         raise ValueError(f"forest was built at scale {forest.t}, not {t}")
 
     pts = cloud.points
-    out: set[tuple[int, int]] = set()
-    neighbours = forest.roots_within_7t(cloud)
+    nodes = forest.nodes
+    n_nodes = len(nodes)
+    rep = np.array([v.rep for v in nodes], dtype=np.intp)
+    bound = np.array([diam_bound(forest, i) for i in range(n_nodes)], dtype=np.float64)
+    n_children = np.array([len(v.children) for v in nodes], dtype=np.intp)
+    offsets = np.concatenate(([0], np.cumsum(n_children)))
+    flat = np.array([c for v in nodes for c in v.children], dtype=np.intp)
 
-    stack: list[tuple[int, int]] = []
-    for r in forest.roots:
-        for s in neighbours[r]:
-            if s >= r:
-                stack.append((r, s))
+    def children_of(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Flat child positions of `ids`, and how many each one has."""
+        counts = n_children[ids]
+        return np.repeat(offsets[ids], counts) + _ragged_arange(counts), counts
+
+    stack: list[np.ndarray] = []
+
+    def push(u: np.ndarray, v: np.ndarray) -> None:
+        if u.size:
+            stack.append(np.column_stack((np.minimum(u, v), np.maximum(u, v))))
+
+    neighbours = forest.roots_within_7t(cloud)
+    seeds = np.array(
+        [(r, s) for r in forest.roots for s in neighbours[r] if s >= r], dtype=np.intp
+    ).reshape(-1, 2)
+    push(seeds[:, 0], seeds[:, 1])
+    found = [np.empty(0, dtype=np.int64)]  # emitted pairs as codes u * n_nodes + v
 
     while stack:
-        a, b = stack.pop()
-        if a == b:
-            node = forest.nodes[a]
-            if node.is_leaf:
-                continue
-            ch = node.children
-            for i in range(len(ch)):
-                for j in range(i, len(ch)):
-                    stack.append((min(ch[i], ch[j]), max(ch[i], ch[j])))
-            continue
-        da, db = diam_bound(forest, a), diam_bound(forest, b)
-        dist = float(np.linalg.norm(pts[forest.nodes[a].rep] - pts[forest.nodes[b].rep]))
-        if max(da, db) <= epsilon * dist:
-            out.add((a, b))
-            continue
-        split = a if (da > db or (da == db and a < b)) else b
-        keep = b if split == a else a
-        for c in forest.nodes[split].children:
-            stack.append((min(c, keep), max(c, keep)))
+        block = stack.pop()
+        if len(block) > _BLOCK:
+            stack.append(block[_BLOCK:])
+            block = block[:_BLOCK]
+        a, b = block[:, 0], block[:, 1]
 
-    return Wspd(pairs=[WsPair(u, v) for (u, v) in sorted(out)], epsilon=epsilon, t=float(t))
+        # self pairs: every child pair (i <= j) of the node
+        other = a != b
+        pos, counts = children_of(a[~other])
+        width = np.repeat(counts, counts) - _ragged_arange(counts)  # pairs with first = i
+        first = np.repeat(pos, width)
+        second = first + _ragged_arange(width)
+        push(flat[first], flat[second])
+
+        # other pairs: one separation test per row
+        a, b = a[other], b[other]
+        da, db = bound[a], bound[b]
+        lhs = np.maximum(da, db)
+        rhs = epsilon * row_distances(pts[rep[a]], pts[rep[b]])
+        separated = lhs <= rhs
+        for i in np.flatnonzero(np.abs(lhs - rhs) <= _TIE_RTOL * np.maximum(lhs, rhs)):
+            dist = float(np.linalg.norm(pts[rep[a[i]]] - pts[rep[b[i]]]))
+            separated[i] = lhs[i] <= epsilon * dist
+        found.append(a[separated].astype(np.int64) * n_nodes + b[separated])
+
+        a, b, da, db = a[~separated], b[~separated], da[~separated], db[~separated]
+        split_a = (da > db) | ((da == db) & (a < b))
+        split = np.where(split_a, a, b)
+        keep = np.where(split_a, b, a)
+        pos, counts = children_of(split)
+        child, keep = flat[pos], np.repeat(keep, counts)
+        push(child, keep)
+
+    codes = np.unique(np.concatenate(found))
+    pairs = np.column_stack((codes // n_nodes, codes % n_nodes)).astype(np.intp)
+    return Wspd(pairs=pairs, epsilon=epsilon, t=float(t))
 
 
 @dataclass
@@ -149,12 +192,12 @@ def verify_wspd(
 
     separation: list[tuple[int, int]] = []
     covered = np.zeros((cloud.n, cloud.n), dtype=bool)
-    for pair in wspd.pairs:
-        nu, nv = forest.nodes[pair.u], forest.nodes[pair.v]
+    for u, v in wspd.pairs.tolist():
+        nu, nv = forest.nodes[u], forest.nodes[v]
         dist = float(np.linalg.norm(pts[nu.rep] - pts[nv.rep]))
         diam = max(_exact_diameter(pts, nu.points), _exact_diameter(pts, nv.points))
         if diam > epsilon * dist * (1 + rtol):
-            separation.append((pair.u, pair.v))
+            separation.append((u, v))
         covered[np.ix_(nu.points, nv.points)] = True
         covered[np.ix_(nv.points, nu.points)] = True
 
@@ -168,23 +211,33 @@ def verify_wspd(
 
 
 def write_wspd(path: str | Path, wspd: Wspd) -> None:
-    lines = ["wspd v1 epsilon=%.17g t=%.17g" % (wspd.epsilon, wspd.t)]
-    for pair in wspd.pairs:
-        lines.append(f"pair {pair.u} {pair.v}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """`wspd v1` header, then one `pair u v` line per row, written in chunks."""
+    with open(path, "w") as fh:
+        fh.write("wspd v1 epsilon=%.17g t=%.17g\n" % (wspd.epsilon, wspd.t))
+        for lo in range(0, len(wspd.pairs), _WRITE_CHUNK):
+            chunk = wspd.pairs[lo : lo + _WRITE_CHUNK]
+            fh.write("pair %d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def read_wspd(path: str | Path) -> Wspd:
+    """Inverse of `write_wspd`; rejects malformed lines and rows with u > v."""
     text = Path(path).read_text().splitlines()
     if not text or not text[0].startswith("wspd v1 "):
         raise ValueError(f"{path}: not a wspd v1 file")
     header = dict(tok.split("=", 1) for tok in text[0].split()[2:])
-    pairs: list[WsPair] = []
+    rows: list[tuple[int, int]] = []
     for line in text[1:]:
         if not line.strip():
             continue
         toks = line.split()
         if toks[0] != "pair" or len(toks) != 3:
             raise ValueError(f"{path}: unexpected line {line!r}")
-        pairs.append(WsPair(int(toks[1]), int(toks[2])))
+        try:
+            u, v = int(toks[1]), int(toks[2])
+        except ValueError as exc:
+            raise ValueError(f"{path}: unexpected line {line!r}") from exc
+        if u > v:
+            raise ValueError(f"{path}: pair {u} {v} is not stored with u <= v")
+        rows.append((u, v))
+    pairs = np.array(rows, dtype=np.intp).reshape(-1, 2)
     return Wspd(pairs=pairs, epsilon=float(header["epsilon"]), t=float(header["t"]))

@@ -147,7 +147,7 @@ def gen_wssd(
         ]
 
     base = gen_wspd(forest, cloud, epsilon / 2.0, forest.t)
-    tiers: dict[int, list[WsTuple]] = {1: make_tier([(p.u, p.v) for p in base.pairs])}
+    tiers: dict[int, list[WsTuple]] = {1: make_tier(list(map(tuple, base.pairs.tolist())))}
 
     neighbours = forest.roots_within_7t(cloud)
     cover = np.array([_cover_bound(forest, v.id) for v in forest.nodes])

@@ -13,7 +13,7 @@ from scalenets.cech import (
     write_filtration,
 )
 from scalenets.forest import COVER_COEF, TAU, build_forest, root_level
-from scalenets.geometry import PointCloud, generate
+from scalenets.geometry import PointCloud, generate, pairwise_distances
 from scalenets.wssd import gen_wssd
 
 from conftest import quantile_scale
@@ -89,6 +89,32 @@ def test_default_grid_shape():
     assert grid[0] > 0 and grid[-1] <= t
     ratios = grid[1:] / grid[:-1]
     assert np.allclose(ratios, 1 + 0.5 / 7)
+
+
+def matrix_grid(cloud, epsilon, t):
+    """default_grid's definition, read off the full distance matrix."""
+    d = pairwise_distances(cloud)
+    positive = d[d > 0]
+    if positive.size == 0:
+        return np.array([t])
+    alpha, out = float(positive.min()) / 2.0, []
+    while alpha <= t:
+        out.append(alpha)
+        alpha *= 1.0 + epsilon / 7.0
+    return np.array(out)
+
+
+def test_default_grid_matches_distance_matrix(corpora):
+    base = generate("uniform", n=30, d=2, seed=8).points
+    clouds = [(name, cloud, t) for name, cloud, t in corpora]
+    clouds += [
+        ("duplicate-only", PointCloud(np.tile([[1.5, -2.0]], (5, 1))), 1.0),
+        ("with-duplicates", PointCloud(np.vstack([base, base[:7]])), 0.5),
+        ("lattice", PointCloud(0.1 * np.indices((6, 6)).reshape(2, -1).T), 1.0),
+    ]
+    for name, cloud, t in clouds:
+        for eps in (0.2, 0.9):
+            assert np.array_equal(default_grid(cloud, eps, t), matrix_grid(cloud, eps, t)), name
 
 
 def test_sandwich_on_random_clouds():

@@ -121,14 +121,14 @@ def test_random_clouds_zero_violations():
 
 
 def test_tier1_matches_wspd_coverage_at_doubled_scale():
-    from scalenets.wspd import Wspd, WsPair, verify_wspd
+    from scalenets.wspd import Wspd, verify_wspd
 
     cloud = generate("clustered", n=25, d=2, seed=9, clusters=3)
     t = quantile_scale(cloud, 0.2)
     forest = build2t(cloud, t)
     wssd = gen_wssd(forest, cloud, 0.5, 1, t)
-    pairs = sorted(WsPair(min(w.nodes), max(w.nodes)) for w in wssd.tiers[1])
-    as_wspd = Wspd(pairs=pairs, epsilon=0.25, t=2 * t)
+    pairs = np.sort(np.array([w.nodes for w in wssd.tiers[1]]).reshape(-1, 2), axis=1)
+    as_wspd = Wspd(pairs=np.unique(pairs, axis=0), epsilon=0.25, t=2 * t)
     assert verify_wspd(cloud, forest, as_wspd, 0.25, 2 * t).ok
     assert verify_wssd(cloud, forest, wssd, 0.5, 1, t).ok
 
