@@ -19,12 +19,12 @@ print(f"n={cloud.n}, scale cap t={t:.3f}")
 
 forest = build_forest(cloud, t, nn="exact")
 print(f"roots: {len(forest.roots)} (one per cluster of the (t,t)-net)")
-print(f"nodes: {len(forest.nodes)}, root level: {forest.root_level}")
+print(f"nodes: {forest.n_nodes}, root level: {forest.root_level}")
 
 violations = check_forest(forest, cloud)
 print(f"invariant violations: {len(violations)}")
 
-levels = sorted({v.level for v in forest.nodes})
+levels = np.unique(forest.level).tolist()
 print("\nnets read off the forest (level: size, covering radius bound):")
 for lev in levels[-4:]:
     if lev > forest.root_level:
@@ -32,5 +32,6 @@ for lev in levels[-4:]:
     reps = extract_net(forest, lev)
     print(f"  level {lev:3d}: {len(reps):4d} points, cover <= {COVER_COEF * TAU**lev:.4f}")
 
-sizes = sorted(len(v.rel) for v in forest.nodes)
+# rel lists are CSR slices: node v's list is rel_ids[rel_ptr[v]:rel_ptr[v + 1]]
+sizes = np.sort(np.diff(forest.rel_ptr))
 print(f"\nrel list sizes: min={sizes[0]} median={sizes[len(sizes)//2]} max={sizes[-1]}")

@@ -27,7 +27,7 @@ for eps in (0.3, 0.5, 0.8):
 # pairs are one sorted (m, 2) array of node ids, u <= v in every row
 u, v = wspd.pairs[0]
 print(f"first pair: nodes {u} and {v} at levels "
-      f"{forest.nodes[u].level} and {forest.nodes[v].level}")
+      f"{forest.level[u]} and {forest.level[v]}")
 
 # size scales linearly in n once density is held fixed
 print("\nsize trend at constant density:")

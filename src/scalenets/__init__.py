@@ -16,7 +16,6 @@ from .geometry import (
 from .lsh import LshIndex, LshParams, QueryReport, collision_probability, derive_params
 from .forest import (
     NetForest,
-    NetNode,
     augment_rel,
     build_cluster_tree,
     build_forest,

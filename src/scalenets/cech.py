@@ -111,14 +111,6 @@ def default_grid(cloud: PointCloud, epsilon: float, t: float) -> np.ndarray:
     return np.array(out)
 
 
-def _vcell_node(forest: NetForest, node_id: int, h: int) -> int:
-    """Ancestor cell of a node at coarsening level h (node level below h)."""
-    v = forest.nodes[node_id]
-    while v.parent is not None and forest.nodes[v.parent].level < h:
-        v = forest.nodes[v.parent]
-    return v.id
-
-
 def build_filtration(
     forest: NetForest,
     cloud: PointCloud,
@@ -147,26 +139,26 @@ def build_filtration(
     pts = cloud.points
     slices: list[FiltrationSlice] = []
     rad_cache: dict[tuple[int, ...], float] = {}
+    # per tier: each tuple's largest node `low`, which the level gate needs
+    # below h, and its nodes' reps. A node with low < h lies in the cell of
+    # its rep's leaf, since the rep's leaf is in the node's subtree.
+    rep = forest.rep.tolist()
+    tiers = []
+    for j in sorted(wssd.tiers):
+        nodes = np.array([tup.nodes for tup in wssd.tiers[j]], dtype=np.intp).reshape(-1, j + 1)
+        tiers.append((forest.low[nodes].max(axis=1), forest.rep[nodes]))
 
     for alpha in grid:
         h = choose_h(epsilon, float(alpha), forest.root_level)
         theta = (1.0 + epsilon / 2.0) * float(alpha)
-        vertex_map = {p: forest.nodes[vcell(forest, p, h)].rep for p in range(cloud.n)}
+        cell_rep = np.array([rep[vcell(forest, p, h)] for p in range(cloud.n)], dtype=np.intp)
+        vertex_map = dict(enumerate(cell_rep.tolist()))
 
         simplices: set[tuple[int, ...]] = set()
-        for j in sorted(wssd.tiers):
-            for tup in wssd.tiers[j]:
-                ok = True
-                for vid in tup.nodes:
-                    v = forest.nodes[vid]
-                    if not (v.is_leaf or v.level < h):
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                reps = {
-                    forest.nodes[_vcell_node(forest, vid, h)].rep for vid in tup.nodes
-                }
+        for top, node_reps in tiers:
+            # one list per node position, not one list per tuple
+            for row in zip(*cell_rep[node_reps[top < h]].T.tolist()):
+                reps = set(row)
                 if len(reps) < 2:
                     continue
                 key = tuple(sorted(reps))

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .forest import NetForest
 
 __all__ = ["DimEstimate", "estimate_dim"]
@@ -23,8 +25,7 @@ def estimate_dim(forest: NetForest) -> DimEstimate:
     Rel lists are diagnostics and do not count toward the out-degree. A
     forest of isolated leaves has estimate zero.
     """
-    if not forest.nodes:
+    if not forest.n_nodes:
         raise ValueError("empty forest")
-    x = max((len(v.children) for v in forest.nodes), default=0)
-    x = max(x, 1)
+    x = max(int(np.diff(forest.child_ptr).max()), 1)
     return DimEstimate(max_out_degree=x, estimate=math.log2(x), t=forest.t)

@@ -19,12 +19,15 @@ Each node also carries a `rel` list: the close-by nodes of comparable level
 14 * 11^level). Root rel lists come from a near-neighbour pass at radius 7t
 with the selected primitive; all other levels are filled one level at a
 time from that definition with exact radius queries.
+
+`NetForest` holds all of this as arrays over node ids, which are a DFS
+preorder: a subtree is an id range, and its point set is the reps of the
+leaves in that range, so no node stores its points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +39,6 @@ __all__ = [
     "COVER_COEF",
     "PACK_COEF",
     "REL_COEF",
-    "NetNode",
     "NetForest",
     "root_level",
     "build_net",
@@ -63,48 +65,104 @@ REL_COEF = 14.0
 _LOG_RTOL = 1e-12
 
 
-@dataclass
-class NetNode:
-    """One forest node. `points` is the sorted index set of its subtree."""
-
-    id: int
-    rep: int
-    level: int
-    parent: int | None
-    children: list[int] = field(default_factory=list)
-    points: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.intp))
-    rel: list[int] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return len(self.points) == 1
-
-    @property
-    def is_root(self) -> bool:
-        return self.parent is None
+def _csr_ptr(owner: np.ndarray, size: int) -> np.ndarray:
+    """CSR offsets of entries grouped by `owner` (ids in [0, size))."""
+    return np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=size)))).astype(np.intp)
 
 
 class NetForest:
-    def __init__(self, nodes: list[NetNode], roots: list[int], t: float, rl: int):
-        self.nodes = nodes
-        self.roots = roots
+    """A net-forest as arrays over node ids, which are a DFS preorder.
+
+    Made from `parent` (-1 at roots), `level`, `rep` and the rel lists in
+    CSR form (node v's list is `rel_ids[rel_ptr[v]:rel_ptr[v + 1]]`).
+    Everything else is derived:
+
+        roots                 root ids, ascending
+        child_ptr, child_ids  children of every node, ascending, in CSR form
+        size                  the subtree of v is the id range [v, v + size[v])
+        is_leaf               no children; the leaf reps are exactly the
+                              points 0..n-1, each once
+        leaf_of               point -> its leaf
+        low, high             level interval: v is the cell of its branch at
+                              level L when low[v] <= L < high[v]; leaves reach
+                              down to -inf, roots up to +inf
+        cover                 covering radius: 0 at leaves, t at roots,
+                              2.2 * 11^level elsewhere
+
+    Raises ValueError when the arrays do not describe such a forest.
+    """
+
+    def __init__(self, parent, level, rep, rel_ptr, rel_ids, t: float, rl: int):
+        self.parent = np.asarray(parent, dtype=np.intp)
+        self.level = np.asarray(level, dtype=np.int64)
+        self.rep = np.asarray(rep, dtype=np.intp)
+        self.rel_ptr = np.asarray(rel_ptr, dtype=np.intp)
+        self.rel_ids = np.asarray(rel_ids, dtype=np.intp)
         self.t = float(t)
         self.root_level = int(rl)
-        # leaf lookup: point index -> leaf node id
-        self.leaf_of: dict[int, int] = {}
-        for node in nodes:
-            if node.is_leaf:
-                self.leaf_of[int(node.points[0])] = node.id
+        m = self.parent.size
+        if np.any((self.rel_ids < 0) | (self.rel_ids >= m)):
+            raise ValueError("rel id out of range")
+        if np.any((self.parent < -1) | (self.parent >= np.arange(m))):
+            raise ValueError("every parent id must be below its child's")
+
+        size = [1] * m
+        for v, p in zip(range(m - 1, -1, -1), reversed(self.parent.tolist())):
+            if p >= 0:
+                size[p] += size[v]
+        self.size = np.array(size, dtype=np.intp)
+
+        # roots, then each node's children, ascending; in a preorder each one
+        # starts where its previous sibling's subtree ends or after its parent
+        order = np.argsort(self.parent, kind="stable")
+        group = self.parent[order]
+        prev = np.concatenate(([-1], order))[:-1]
+        first = group != np.concatenate(([-2], group))[:-1]
+        start = np.where(first, group + 1, prev + self.size[prev])
+        if not np.array_equal(order, start):
+            raise ValueError("node ids are not a preorder")
+        n_roots = int(np.count_nonzero(self.parent < 0))
+        self.roots = order[:n_roots]
+        self.child_ids = order[n_roots:]
+        self.child_ptr = _csr_ptr(self.parent[self.child_ids], m)
+
+        self.is_leaf = np.diff(self.child_ptr) == 0
+        leaves = np.flatnonzero(self.is_leaf)
+        if np.any((self.rep < 0) | (self.rep >= leaves.size)):
+            raise ValueError("rep out of range")
+        self.leaf_of = np.full(leaves.size, -1, dtype=np.intp)
+        self.leaf_of[self.rep[leaves]] = leaves
+        if np.any(self.leaf_of < 0):
+            raise ValueError("leaf reps are not the points 0..n-1, each once")
+
+        self.low = np.where(self.is_leaf, -np.inf, self.level)
+        self.high = np.where(self.parent < 0, np.inf, self.level[self.parent])
+        levels, where = np.unique(self.level, return_inverse=True)
+        scale = np.array([COVER_COEF * float(TAU) ** lev for lev in levels.tolist()])
+        self.cover = np.where(self.is_leaf, 0.0, np.where(self.parent < 0, self.t, scale[where]))
 
     @property
     def n(self) -> int:
-        return len(self.leaf_of)
+        """Number of points (one leaf each)."""
+        return self.leaf_of.size
 
-    def root_of(self, node_id: int) -> int:
-        v = self.nodes[node_id]
-        while v.parent is not None:
-            v = self.nodes[v.parent]
-        return v.id
+    @property
+    def n_nodes(self) -> int:
+        return self.parent.size
+
+    def children_of(self, v: int) -> list[int]:
+        return self.child_ids[self.child_ptr[v] : self.child_ptr[v + 1]].tolist()
+
+    def rel_of(self, v: int) -> list[int]:
+        return self.rel_ids[self.rel_ptr[v] : self.rel_ptr[v + 1]].tolist()
+
+    def points(self, v: int) -> np.ndarray:
+        """Sorted point set of node v: the reps of the leaves of its subtree."""
+        sub = slice(v, v + self.size[v])
+        return np.sort(self.rep[sub][self.is_leaf[sub]])
+
+    def root_of(self, v: int) -> int:
+        return int(self.roots[np.searchsorted(self.roots, v, side="right") - 1])
 
     def roots_within_7t(self, cloud: PointCloud) -> dict[int, list[int]]:
         """Per-root ids of roots with representative distance <= 7t.
@@ -114,9 +172,10 @@ class NetForest:
         radius query over the root representatives, for built and loaded
         forests alike.
         """
-        reps = cloud.points[np.asarray([self.nodes[r].rep for r in self.roots], dtype=np.intp)]
+        roots = self.roots.tolist()
+        reps = cloud.points[self.rep[self.roots]]
         near = ExactNearNeighbours(reps, 7.0 * self.t).near_rows(reps)
-        return {r: [self.roots[j] for j in hits] for r, hits in zip(self.roots, near)}
+        return {r: [roots[j] for j in hits] for r, hits in zip(roots, near)}
 
 
 def root_level(t: float) -> int:
@@ -219,7 +278,7 @@ def _greedy_net(pts: np.ndarray, candidates: list[int], seeds: list[int], scale:
 
 def build_cluster_tree(
     cloud: PointCloud, members: np.ndarray, rep: int, rl: int
-) -> list[NetNode]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Net-tree of one cluster, rooted at `rep` with level `rl`.
 
     Nested greedy nets are built cluster-wide one level at a time (scale
@@ -228,11 +287,12 @@ def build_cluster_tree(
     jump. Exactly-coincident points can never separate by distance and are
     split into sibling leaves directly below their site's node.
 
-    Returns an arena fragment with local ids; node 0 is the root.
+    Returns the fragment as `parent` (-1 at the root, node 0), `level` and
+    `rep` arrays over local ids, in DFS preorder with children ascending.
     """
-    members = np.asarray(sorted(int(m) for m in members), dtype=np.intp)
+    members = np.sort(np.asarray(members, dtype=np.intp))
     pts = cloud.points
-    if rep not in set(members.tolist()):
+    if not np.any(members == rep):
         raise ValueError("cluster representative must belong to the cluster")
 
     # collapse exact duplicates onto sites (keyed by their lowest member
@@ -240,10 +300,8 @@ def build_cluster_tree(
     _, first, inverse = np.unique(
         pts[members], axis=0, return_index=True, return_inverse=True
     )
-    inverse = inverse.ravel()
     site_members: dict[int, list[int]] = {}
-    for pos, m in enumerate(members.tolist()):
-        s = int(members[first[inverse[pos]]])
+    for m, s in zip(members.tolist(), members[first[inverse.ravel()]].tolist()):
         site_members.setdefault(s, []).append(m)
     sites = sorted(site_members)
     if rep not in site_members:
@@ -252,51 +310,38 @@ def build_cluster_tree(
         site_members[rep] = site_members.pop(s)
         sites[sites.index(s)] = rep
 
-    nodes: list[NetNode] = []
+    parent: list[int] = []
+    level: list[int] = []
+    reps: list[int] = []
 
-    def new_node(rep_idx: int, level: int, parent: int | None) -> int:
-        nid = len(nodes)
-        nodes.append(NetNode(id=nid, rep=rep_idx, level=level, parent=parent))
-        return nid
+    def new_node(rep_idx: int, lev: int, par: int) -> int:
+        parent.append(par)
+        level.append(lev)
+        reps.append(rep_idx)
+        return len(parent) - 1
 
-    def leaf_points(site: int) -> np.ndarray:
-        return np.asarray(sorted(site_members[site]), dtype=np.intp)
-
-    def attach_site(site: int, level: int, parent: int) -> int:
+    def attach_site(site: int, lev: int, par: int) -> None:
         """Node for a site cell: a leaf, or a split of coincident duplicates."""
-        nid = new_node(site, level, parent)
-        dups = sorted(site_members[site])
-        if len(dups) == 1:
-            nodes[nid].points = leaf_points(site)
-            return nid
-        nodes[nid].points = np.asarray(dups, dtype=np.intp)
-        for p in dups:
-            child = new_node(p, level - 1, nid)
-            nodes[child].points = np.asarray([p], dtype=np.intp)
-            nodes[nid].children.append(child)
-        return nid
-
-    if len(sites) == 1:
-        root = new_node(rep, rl, None)
-        dups = sorted(site_members[rep])
-        nodes[root].points = np.asarray(dups, dtype=np.intp)
+        nid = new_node(site, lev, par)
+        dups = site_members[site]
         if len(dups) > 1:
             for p in dups:
-                child = new_node(p, rl - 1, root)
-                nodes[child].points = np.asarray([p], dtype=np.intp)
-                nodes[root].children.append(child)
-        return nodes
+                new_node(p, lev - 1, nid)
+
+    if len(sites) == 1:
+        attach_site(rep, rl, -1)
+        return tuple(np.array(a, dtype=np.intp) for a in (parent, level, reps))
 
     # nested nets from root level downward until every site is a net point
     nets: dict[int, list[int]] = {rl: [rep]}
     parent_net: dict[int, dict[int, int]] = {}
-    level = rl
-    while len(nets[level]) < len(sites):
-        nxt = level - 1
+    lev = rl
+    while len(nets[lev]) < len(sites):
+        nxt = lev - 1
         scale = float(TAU) ** nxt
-        net = _greedy_net(pts, sites, nets[level], scale)
+        net = _greedy_net(pts, sites, nets[lev], scale)
         # each net point attaches to the closest coarser net point
-        coarse = nets[level]
+        coarse = nets[lev]
         coarse_pts = pts[np.asarray(coarse, dtype=np.intp)]
         attach: dict[int, int] = {}
         for w in net:
@@ -304,11 +349,11 @@ def build_cluster_tree(
             attach[w] = coarse[int(np.argmin(d))]
         nets[nxt] = net
         parent_net[nxt] = attach
-        level = nxt
-    bottom = level
+        lev = nxt
+    bottom = lev
 
     # children of a net point u at level j are the level j-1 net points
-    # attached to it
+    # attached to it; u is always one of them (the nets are nested)
     children_at: dict[tuple[int, int], list[int]] = {}
     for j in range(bottom, rl):
         for w, u in parent_net[j].items():
@@ -316,50 +361,27 @@ def build_cluster_tree(
     for key in children_at:
         children_at[key].sort()
 
-    def cell_sites(u: int, j: int) -> list[int]:
-        if j == bottom:
-            return [u]
-        out: list[int] = []
-        for w in children_at.get((u, j), [u]):
-            out.extend(cell_sites(w, j - 1))
-        return sorted(out)
-
-    def materialize(u: int, top: int, parent: int) -> int:
-        """Node for u's chain whose highest conceptual level is `top`.
+    def materialize(u: int, top: int, par: int) -> None:
+        """Nodes for u's chain whose highest conceptual level is `top`.
 
         The stored level is the lowest chain level: the point set is
-        unchanged until the cell either splits or bottoms out.
+        unchanged until the cell either splits or bottoms out, and a chain
+        that bottoms out holds the single site u.
         """
         j = top
-        while j > bottom:
-            ch = children_at.get((u, j), [u])
-            if ch != [u]:
-                break
+        while j > bottom and children_at.get((u, j), [u]) == [u]:
             j -= 1
-        cell = cell_sites(u, j)
-        if len(cell) == 1:
-            return attach_site(u, top, parent)
-        nid = new_node(u, j, parent)
-        nodes[nid].points = np.asarray(
-            sorted(p for s in cell for p in site_members[s]), dtype=np.intp
-        )
+        if j == bottom:
+            attach_site(u, top, par)
+            return
+        nid = new_node(u, j, par)
         for w in children_at[(u, j)]:
-            child = materialize(w, j - 1, nid)
-            nodes[nid].children.append(child)
-        return nid
+            materialize(w, j - 1, nid)
 
-    root = new_node(rep, rl, None)
-    nodes[root].points = np.asarray(
-        sorted(p for s in sites for p in site_members[s]), dtype=np.intp
-    )
-    top_children = children_at.get((rep, rl), [rep])
-    if top_children == [rep]:
-        child = materialize(rep, rl - 1, root)
-        nodes[root].children.append(child)
-    else:
-        for w in top_children:
-            nodes[root].children.append(materialize(w, rl - 1, root))
-    return nodes
+    root = new_node(rep, rl, -1)
+    for w in children_at.get((rep, rl), [rep]):
+        materialize(w, rl - 1, root)
+    return tuple(np.array(a, dtype=np.intp) for a in (parent, level, reps))
 
 
 def build_forest(
@@ -392,7 +414,7 @@ def build_forest(
 
     m = len(nets)
     if m < 2:
-        root_rel = [[0]] if m == 1 else []
+        root_rel = [[0]]
     else:
         net_pts = cloud.points[np.asarray(nets, dtype=np.intp)]
         if nn == "exact":
@@ -403,23 +425,16 @@ def build_forest(
         root_rel = build_root_rel(net_pts, t, nn_7t)
 
     rl = root_level(t)
-    all_nodes: list[NetNode] = []
-    roots: list[int] = []
-    for pos, net_pt in enumerate(nets):
-        members = np.flatnonzero(netpoint == net_pt)
-        fragment = build_cluster_tree(cloud, members, net_pt, rl)
-        offset = len(all_nodes)
-        for node in fragment:
-            node.id += offset
-            if node.parent is not None:
-                node.parent += offset
-            node.children = [c + offset for c in node.children]
-        all_nodes.extend(fragment)
-        roots.append(offset)
+    fragments = [build_cluster_tree(cloud, np.flatnonzero(netpoint == p), p, rl) for p in nets]
+    parent, level, rep = (np.concatenate([f[k] for f in fragments]) for k in range(3))
+    sizes = [f[0].size for f in fragments]
+    roots = np.cumsum([0] + sizes[:-1])
+    parent = np.where(parent >= 0, parent + np.repeat(roots, sizes), -1)
 
-    forest = NetForest(all_nodes, roots, t, rl)
-    for i in range(m):
-        all_nodes[roots[i]].rel = sorted(roots[j] for j in root_rel[i])
+    # root rel lists only; augment_rel fills every other level
+    rel_owner = np.repeat(roots, [len(r) for r in root_rel])
+    rel_ids = roots[np.concatenate(root_rel)]
+    forest = NetForest(parent, level, rep, _csr_ptr(rel_owner, parent.size), rel_ids, t, rl)
     augment_rel(forest, cloud)
     return forest
 
@@ -430,130 +445,110 @@ def build_forest(
 
 
 def descend_to_level(forest: NetForest, node_id: int, level: int) -> list[int]:
-    """Cells at `level` within the subtree of `node_id`.
+    """Cells at `level` within the subtree of `node_id`, in id order.
 
-    A node is the cell of its branch at `level` when its own level is at
-    most `level` (leaves count as unboundedly low) while its parent's is
-    above. The caller guarantees `level` is below the parent interval of
-    `node_id`.
+    These are the subtree nodes whose level interval [low, high) holds
+    `level`; the caller guarantees `level` is below `high[node_id]`.
     """
-    out: list[int] = []
-    stack = [node_id]
-    while stack:
-        v = forest.nodes[stack.pop()]
-        if v.is_leaf or v.level <= level:
-            out.append(v.id)
-        else:
-            stack.extend(reversed(v.children))
-    return out
+    sub = slice(node_id, node_id + forest.size[node_id])
+    hit = (forest.low[sub] <= level) & (level < forest.high[sub])
+    return (node_id + np.flatnonzero(hit)).tolist()
 
 
 def augment_rel(forest: NetForest, cloud: PointCloud) -> None:
     """Fill rel lists for all non-root nodes, one distinct level L at a time.
 
-    The rel list of a level-L node holds the level-L cells (nodes at level
-    at most L, or leaves, whose parent sits above L, or roots) with
-    representative within 14 * 11^L: the definition `brute_force_rel`
-    checks. One kd-tree radius query per level finds them. The paper fills
-    these lists top-down from the parent's lists because it assumes only an
-    approximate near-neighbour primitive; every candidate is kept or dropped
-    by its exact distance either way, so the lists are the same. Root rel
-    lists come from `build_root_rel` and are left as they are.
+    The rel list of a level-L node holds the level-L cells (nodes whose
+    level interval holds L) with representative within 14 * 11^L: the
+    definition `brute_force_rel` checks. One kd-tree radius query per level
+    finds them. The paper fills these lists top-down from the parent's lists
+    because it assumes only an approximate near-neighbour primitive; every
+    candidate is kept or dropped by its exact distance either way, so the
+    lists are the same. Root rel lists come from `build_root_rel` and are
+    left as they are.
     """
     pts = cloud.points
-    nodes = forest.nodes
-    rep = np.array([v.rep for v in nodes], dtype=np.intp)
-    level = np.array([v.level for v in nodes])
-    low = np.where([v.is_leaf for v in nodes], -np.inf, level)
-    high = np.array([np.inf if v.is_root else nodes[v.parent].level for v in nodes])
-    non_root = np.isfinite(high)
-    for lev in np.unique(level[non_root]).tolist():
-        members = np.flatnonzero(non_root & (level == lev))
-        cells = np.flatnonzero((low <= lev) & (lev < high))
+    rep = forest.rep
+    owner = np.repeat(np.arange(forest.n_nodes), np.diff(forest.rel_ptr))
+    at_root = forest.parent[owner] < 0
+    rows, cols = owner[at_root].tolist(), forest.rel_ids[at_root].tolist()
+    non_root = forest.parent >= 0
+    for lev in np.unique(forest.level[non_root]).tolist():
+        members = np.flatnonzero(non_root & (forest.level == lev))
+        cells = np.flatnonzero((forest.low <= lev) & (lev < forest.high))
         threshold = REL_COEF * float(TAU) ** lev
         # the kd-tree radius is padded so that its own rounding cannot drop
         # a pair; the oracle's norm expression makes the final call on ties
         index = ExactNearNeighbours(pts[rep[cells]], threshold * (1 + 1e-9))
         for u, hits in zip(members.tolist(), index.near_rows(pts[rep[members]])):
             here = pts[rep[u]]
-            nodes[u].rel = [
-                int(cells[j]) for j in hits if np.linalg.norm(here - index.points[j]) <= threshold
-            ]
+            for j in hits.tolist():
+                if np.linalg.norm(here - index.points[j]) <= threshold:
+                    rows.append(u)
+                    cols.append(int(cells[j]))
+    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+    forest.rel_ids = cols[np.lexsort((cols, rows))]
+    forest.rel_ptr = _csr_ptr(rows, forest.n_nodes)
 
 
 def brute_force_rel(forest: NetForest, cloud: PointCloud, u_id: int) -> list[int]:
     """Rel of one node by scanning every node: the equivalence oracle.
 
-    Level conventions match the tree semantics: leaves behave as unboundedly
-    low, roots as having a parent above every level. The radius coefficient
-    is pinned here independently of the construction code on purpose.
+    Leaves behave as unboundedly low, roots as having a parent above every
+    level; both come from the raw `parent` array. The radius coefficient
+    is pinned here, independently of the construction code on purpose.
     """
-    u = forest.nodes[u_id]
-    threshold = 14.0 * 11.0**u.level
+    parent, level = forest.parent, forest.level
+    lev = int(level[u_id])
+    threshold = 14.0 * 11.0**lev
+    leaf = ~np.isin(np.arange(parent.size), parent)
+    root = parent < 0
+    low_ok = leaf | (level <= lev)
+    high_ok = root | (lev < level[np.where(root, 0, parent)])
     pts = cloud.points
-    out: list[int] = []
-    for v in forest.nodes:
-        low_ok = v.is_leaf or v.level <= u.level
-        high_ok = v.is_root or u.level < forest.nodes[v.parent].level
-        if not (low_ok and high_ok):
-            continue
-        if np.linalg.norm(pts[u.rep] - pts[v.rep]) <= threshold:
-            out.append(v.id)
-    return sorted(out)
+    here = pts[forest.rep[u_id]]
+    return [
+        v
+        for v in np.flatnonzero(low_ok & high_ok).tolist()
+        if np.linalg.norm(here - pts[forest.rep[v]]) <= threshold
+    ]
 
 
 def extract_net(forest: NetForest, level: int) -> list[int]:
     """Representatives of the net at `level` (must not exceed the root level).
 
-    A node represents its branch at `level` when its own level is at most
-    `level` (leaves always qualify) and `level` lies below its parent's
-    level (roots always qualify). At the root level this returns exactly the
-    root representatives; below every leaf it returns every point.
+    A node represents its branch at `level` when its level interval holds
+    `level`. At the root level this returns exactly the root
+    representatives; below every leaf it returns every point.
     """
     if level > forest.root_level:
         raise ValueError(
             f"level {level} above the represented range (root level {forest.root_level})"
         )
-    reps: list[int] = []
-    for v in forest.nodes:
-        low_ok = v.is_leaf or v.level <= level
-        high_ok = v.is_root or level < forest.nodes[v.parent].level
-        if low_ok and high_ok:
-            reps.append(v.rep)
-    return sorted(set(reps))
+    return np.unique(forest.rep[nodes_at_level(forest, level)]).tolist()
 
 
 def nodes_at_level(forest: NetForest, level: int) -> list[int]:
     """Node ids forming the cell partition at `level`."""
-    out: list[int] = []
-    for root in forest.roots:
-        v = forest.nodes[root]
-        if v.is_leaf or v.level <= level:
-            out.append(root)
-        else:
-            out.extend(descend_to_level(forest, root, level))
-    return out
+    return np.flatnonzero((forest.low <= level) & (level < forest.high)).tolist()
 
 
 def vcell(forest: NetForest, p: int, h: int) -> int:
-    """Ancestor node of point p's leaf whose level interval contains h.
+    """Ancestor node of point p's leaf whose interval (low, high] contains h.
 
-    The interval is (level, parent level]; leaves extend to minus infinity.
-    Requires h below the root level, which guarantees the ancestor exists.
+    That is the cell at level h - 1 holding p. Requires h below the root
+    level, which guarantees the ancestor exists.
     """
     if h >= forest.root_level:
         raise ValueError(f"h={h} must be below the root level {forest.root_level}")
-    if p not in forest.leaf_of:
+    if not 0 <= p < forest.n:
         raise ValueError(f"point {p} has no leaf in this forest")
-    v = forest.nodes[forest.leaf_of[p]]
-    while True:
-        low_ok = v.is_leaf or v.level < h
-        high_ok = v.is_root or h <= forest.nodes[v.parent].level
-        if low_ok and high_ok:
-            return v.id
-        if v.parent is None:  # pragma: no cover - blocked by the h precondition
-            raise RuntimeError("no ancestor satisfies the level interval")
-        v = forest.nodes[v.parent]
+    # below the answer every node's parent level is under h, so the first
+    # ancestor with h <= high also has low < h
+    v = int(forest.leaf_of[p])
+    while forest.high[v] < h:
+        v = int(forest.parent[v])
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -564,65 +559,66 @@ def vcell(forest: NetForest, p: int, h: int) -> int:
 def check_forest(forest: NetForest, cloud: PointCloud, rtol: float = 1e-9) -> list[str]:
     """All structural violations of the forest contracts; empty when valid.
 
-    Exact duplicate points are exempt from packing (coincident points can
-    never be separated at any positive radius).
+    Violations are listed check by check, each in node order. Exact
+    duplicate points are exempt from packing (coincident points can never
+    be separated at any positive radius).
     """
     pts = cloud.points
     bad: list[str] = []
     t = forest.t
+    rep, parent, size = forest.rep, forest.parent, forest.size
 
-    rep_ids = [forest.nodes[r].rep for r in forest.roots]
-    rep_pts = pts[np.asarray(rep_ids, dtype=np.intp)]
+    rep_pts = pts[rep[forest.roots]]
     for p in range(cloud.n):
         d = np.linalg.norm(rep_pts - pts[p], axis=1)
         if float(d.min()) > t * (1 + rtol):
             bad.append(f"point {p} not covered by any root within t")
-    for i in range(len(rep_ids)):
-        for j in range(i + 1, len(rep_ids)):
-            if np.linalg.norm(rep_pts[i] - rep_pts[j]) <= t * (1 - rtol):
-                bad.append(f"roots {i},{j} closer than t")
+    for i in range(len(rep_pts)):
+        d = np.linalg.norm(rep_pts[i + 1 :] - rep_pts[i], axis=1)
+        bad += [f"roots {i},{i + 1 + j} closer than t" for j in np.flatnonzero(d <= t * (1 - rtol))]
 
-    seen = np.zeros(cloud.n, dtype=np.intp)
-    for r in forest.roots:
-        seen[forest.nodes[r].points] += 1
-    if not np.all(seen == 1):
+    # the root ranges tile the ids and the leaf reps are 0..forest.n-1
+    if forest.n != cloud.n:
         bad.append("root point sets do not partition the cloud")
 
-    for v in forest.nodes:
-        if v.is_leaf and len(v.children) != 0:
-            bad.append(f"node {v.id}: leaf with children")
-        if not v.is_leaf and not v.is_root and len(v.children) < 2:
-            bad.append(f"node {v.id}: internal node with fewer than 2 children")
-        if v.children:
-            child_reps = {forest.nodes[c].rep for c in v.children}
-            if v.rep not in child_reps:
-                bad.append(f"node {v.id}: rep not inherited from a child")
-        if v.parent is not None:
-            parent = forest.nodes[v.parent]
-            if v.level >= parent.level:
-                bad.append(f"node {v.id}: level not below parent")
-            if v.id not in parent.children:
-                bad.append(f"node {v.id}: missing from parent's child list")
+    n_children = np.diff(forest.child_ptr)
+    leaf_rank = np.concatenate(([0], np.cumsum(forest.is_leaf)))
+    n_points = leaf_rank[np.arange(forest.n_nodes) + size] - leaf_rank[:-1]
+    non_root = parent >= 0
+    child = forest.child_ids
+    inherited = np.zeros(forest.n_nodes, dtype=bool)
+    inherited[parent[child][rep[child] == rep[parent[child]]]] = True
+    for message, mask in [
+        ("leaf with children", (n_points == 1) & (n_children > 0)),
+        ("internal node with fewer than 2 children", (n_points != 1) & non_root & (n_children < 2)),
+        ("rep not inherited from a child", (n_children > 0) & ~inherited),
+        ("level not below parent", forest.level >= forest.high),
+    ]:
+        bad += [f"node {v}: {message}" for v in np.flatnonzero(mask)]
 
-        cover = t if v.is_root else COVER_COEF * float(TAU) ** v.level
-        d = np.linalg.norm(pts[v.points] - pts[v.rep], axis=1)
-        if v.points.size and float(d.max()) > cover * (1 + rtol):
-            bad.append(f"node {v.id}: covering radius exceeded")
+    # covering: the farthest point of every node, one ancestor step at a time
+    far = np.zeros(forest.n_nodes)
+    anc = np.flatnonzero(forest.is_leaf)
+    point = rep[anc]
+    while anc.size:
+        np.maximum.at(far, anc, np.linalg.norm(pts[point] - pts[rep[anc]], axis=1))
+        up = parent[anc] >= 0
+        anc, point = parent[anc[up]], point[up]
+    wide = np.flatnonzero(far > forest.cover * (1 + rtol))
+    bad += [f"node {v}: covering radius exceeded" for v in wide]
 
-        if v.parent is not None:
-            radius = PACK_COEF * float(TAU) ** forest.nodes[v.parent].level
-            tree_points = forest.nodes[forest.root_of(v.id)].points
-            d = np.linalg.norm(pts[tree_points] - pts[v.rep], axis=1)
-            inside = tree_points[d <= radius * (1 - rtol)]
-            missing = np.setdiff1d(inside, v.points)
+    for root in forest.roots.tolist():
+        tree = forest.points(root)
+        for v in range(root + 1, root + size[root]):
+            radius = PACK_COEF * float(TAU) ** int(forest.level[parent[v]])
+            d = np.linalg.norm(pts[tree] - pts[rep[v]], axis=1)
+            inside = tree[d <= radius * (1 - rtol)]
+            leaf = forest.leaf_of[inside]
+            outside = inside[(leaf < v) | (leaf >= v + size[v])]
             # coincident duplicates are exempt
-            missing = [
-                int(q)
-                for q in missing
-                if np.linalg.norm(pts[q] - pts[v.rep]) > 0
-            ]
+            missing = [int(q) for q in outside if np.linalg.norm(pts[q] - pts[rep[v]]) > 0]
             if missing:
-                bad.append(f"node {v.id}: packing misses points {missing}")
+                bad.append(f"node {v}: packing misses points {missing}")
     return bad
 
 
@@ -631,79 +627,82 @@ def check_forest(forest: NetForest, cloud: PointCloud, rtol: float = 1e-9) -> li
 # ---------------------------------------------------------------------------
 
 
+def _csr_lists(ptr: np.ndarray, ids: np.ndarray) -> list[str]:
+    """Comma-joined CSR slices, one string per node."""
+    flat = ids.astype(str).tolist()
+    bounds = ptr.tolist()
+    return [",".join(flat[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 def write_forest(path: str | Path, forest: NetForest, dim: int) -> None:
     lines = [
         "netforest v1 n=%d dim=%d t=%.17g tau=%d root_level=%d"
         % (forest.n, dim, forest.t, TAU, forest.root_level)
     ]
-    for v in forest.nodes:
-        parent = "-" if v.parent is None else str(v.parent)
-        children = ",".join(str(c) for c in v.children)
-        rel = ",".join(str(r) for r in v.rel)
-        lines.append(
-            f"node {v.id} parent={parent} level={v.level} rep={v.rep} "
-            f"children={children} rel={rel}"
-        )
+    parents = ["-" if p < 0 else str(p) for p in forest.parent.tolist()]
+    children = _csr_lists(forest.child_ptr, forest.child_ids)
+    rels = _csr_lists(forest.rel_ptr, forest.rel_ids)
+    rows = zip(parents, forest.level.tolist(), forest.rep.tolist(), children, rels)
+    lines += [
+        f"node {v} parent={p} level={lev} rep={r} children={c} rel={s}"
+        for v, (p, lev, r, c, s) in enumerate(rows)
+    ]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_forest(path: str | Path) -> NetForest:
+    """Inverse of `write_forest`; rejects files that are not a valid forest.
+
+    Raises ValueError for malformed lines, ids that are not dense, children
+    lists that disagree with the parent fields, ids that are not a DFS
+    preorder, rel or rep ids out of range, and leaf reps that are not
+    exactly the points 0..n-1 of the header.
+    """
     text = Path(path).read_text().splitlines()
     if not text or not text[0].startswith("netforest v1 "):
         raise ValueError(f"{path}: not a netforest v1 file")
-    header = dict(tok.split("=", 1) for tok in text[0].split()[2:])
-    t = float(header["t"])
-    rl = int(header["root_level"])
-    if int(header["tau"]) != TAU:
-        raise ValueError(f"{path}: unsupported tau {header['tau']}")
+    try:
+        header = dict(tok.split("=", 1) for tok in text[0].split()[2:])
+        n, t, tau = int(header["n"]), float(header["t"]), int(header["tau"])
+        rl = int(header["root_level"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed header {text[0]!r}") from exc
+    if tau != TAU:
+        raise ValueError(f"{path}: unsupported tau {tau}")
 
-    nodes: list[NetNode] = []
+    rows = []
     for line in text[1:]:
         if not line.strip():
             continue
         toks = line.split()
         if toks[0] != "node":
             raise ValueError(f"{path}: unexpected line {line!r}")
-        fields = dict(tok.split("=", 1) for tok in toks[2:])
-        nodes.append(
-            NetNode(
-                id=int(toks[1]),
-                rep=int(fields["rep"]),
-                level=int(fields["level"]),
-                parent=None if fields["parent"] == "-" else int(fields["parent"]),
-                children=[int(c) for c in fields["children"].split(",") if c],
-                rel=[int(r) for r in fields["rel"].split(",") if r],
-            )
-        )
-    nodes.sort(key=lambda v: v.id)
-    if [v.id for v in nodes] != list(range(len(nodes))):
+        try:
+            fields = dict(tok.split("=", 1) for tok in toks[2:])
+            rows.append((
+                int(toks[1]),
+                -1 if fields["parent"] == "-" else int(fields["parent"]),
+                int(fields["level"]),
+                int(fields["rep"]),
+                [int(c) for c in fields["children"].split(",") if c],
+                [int(r) for r in fields["rel"].split(",") if r],
+            ))
+        except (IndexError, KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed line {line!r}") from exc
+    rows.sort(key=lambda row: row[0])
+    if [row[0] for row in rows] != list(range(len(rows))):
         raise ValueError(f"{path}: node ids must be dense")
 
-    # rebuild subtree point sets from the leaves upward
-    for v in nodes:
-        if not v.children:
-            v.points = np.asarray([v.rep], dtype=np.intp)
-    remaining = [v for v in nodes if v.children]
-    while remaining:
-        progressed = []
-        for v in remaining:
-            if all(nodes[c].points.size for c in v.children):
-                v.points = np.asarray(
-                    sorted(int(p) for c in v.children for p in nodes[c].points),
-                    dtype=np.intp,
-                )
-            else:
-                progressed.append(v)
-        if len(progressed) == len(remaining):
-            raise ValueError(f"{path}: cyclic parent/child structure")
-        remaining = progressed
-
-    # leaves written from duplicate splits carry their own point: recover the
-    # original leaf point from rep (unique per leaf by construction)
-    roots = [v.id for v in nodes if v.parent is None]
-    n = sum(nodes[r].points.size for r in roots)
-    if n != int(header["n"]):
-        # duplicate-point forests store distinct leaf points; rep repetition
-        # would break the reconstruction above
-        raise ValueError(f"{path}: reconstructed {n} points, header says {header['n']}")
-    return NetForest(nodes, roots, t, rl)
+    _, parent, level, rep, children, rel = zip(*rows) if rows else ((),) * 6
+    rel_ptr = np.cumsum([0] + [len(r) for r in rel])
+    try:
+        forest = NetForest(parent, level, rep, rel_ptr, [r for rs in rel for r in rs], t, rl)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    flat = [c for cs in children for c in cs]
+    counts = np.diff(forest.child_ptr).tolist()
+    if flat != forest.child_ids.tolist() or list(map(len, children)) != counts:
+        raise ValueError(f"{path}: children lists disagree with the parent fields")
+    if forest.n != n:
+        raise ValueError(f"{path}: the leaves hold {forest.n} points, header says n={n}")
+    return forest

@@ -239,7 +239,7 @@ def netforest_net_validity(seed: int) -> PropertyReport:
 def netforest_partition(seed: int) -> PropertyReport:
     for kind, cloud, t in _structural_corpus(seed):
         forest = _forest_at(cloud, t)
-        total = sum(forest.nodes[r].points.size for r in forest.roots)
+        total = sum(forest.points(r).size for r in forest.roots)
         if total != cloud.n:
             return _report(
                 "netforest.partition", kind, False, f"sum={total} n={cloud.n}", seed, ""
@@ -262,14 +262,14 @@ def netforest_rel_equivalence(seed: int) -> PropertyReport:
     cloud = _geom.generate("clustered", n=150, d=3, seed=seed, clusters=8)
     t = _quantile_scale(cloud, 0.15)
     forest = _forest_at(cloud, t)
-    for v in forest.nodes:
-        want = _forest.brute_force_rel(forest, cloud, v.id)
-        if v.rel != want:
+    for v in range(forest.n_nodes):
+        want = _forest.brute_force_rel(forest, cloud, v)
+        if forest.rel_of(v) != want:
             return _report(
                 "netforest.rel-equivalence",
                 "clustered n=150",
                 False,
-                f"node {v.id}: {v.rel} != {want}",
+                f"node {v}: {forest.rel_of(v)} != {want}",
                 seed,
                 f"t={t:.4g}",
             )
@@ -297,7 +297,7 @@ def netforest_root_rel_trend(seed: int) -> PropertyReport:
         if t is None:
             t = _quantile_scale(cloud, 0.05)
         forest = _forest_at(cloud, t)
-        sizes[n] = max(len(forest.nodes[r].rel) for r in forest.roots)
+        sizes[n] = int(np.diff(forest.rel_ptr)[forest.roots].max())
     ok = sizes[2000] <= 3 * max(sizes[500], 1)
     return _report(
         "netforest.root-rel-size-trend",
@@ -377,7 +377,7 @@ def wspd_truncation(seed: int) -> PropertyReport:
     bad = [
         (u, v)
         for u, v in wspd.pairs.tolist()
-        if forest.nodes[u].level > rl or forest.nodes[v].level > rl
+        if forest.level[u] > rl or forest.level[v] > rl
     ]
     return _report("wspd.truncation", "clustered n=200", not bad, bad[:3], seed, "")
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forest import COVER_COEF, TAU, NetForest
+from .forest import NetForest
 from .geometry import PointCloud, pairwise_distances, row_distances
 
 __all__ = [
@@ -52,13 +52,9 @@ def diam_bound(forest: NetForest, node_id: int) -> float:
     Leaves are single points (diameter zero). Roots can fill their whole
     cluster, which the rounded-down root level does not reflect, so they get
     the cluster bound 2t. Everything else gets twice the covering radius.
+    All three are twice `NetForest.cover`.
     """
-    v = forest.nodes[node_id]
-    if v.is_leaf:
-        return 0.0
-    if v.is_root:
-        return 2.0 * forest.t
-    return 2.0 * COVER_COEF * float(TAU) ** v.level
+    return 2.0 * float(forest.cover[node_id])
 
 
 def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
@@ -92,13 +88,11 @@ def gen_wspd(
         raise ValueError(f"forest was built at scale {forest.t}, not {t}")
 
     pts = cloud.points
-    nodes = forest.nodes
-    n_nodes = len(nodes)
-    rep = np.array([v.rep for v in nodes], dtype=np.intp)
-    bound = np.array([diam_bound(forest, i) for i in range(n_nodes)], dtype=np.float64)
-    n_children = np.array([len(v.children) for v in nodes], dtype=np.intp)
-    offsets = np.concatenate(([0], np.cumsum(n_children)))
-    flat = np.array([c for v in nodes for c in v.children], dtype=np.intp)
+    n_nodes = forest.n_nodes
+    rep = forest.rep
+    bound = 2.0 * forest.cover  # diam_bound of every node
+    offsets, flat = forest.child_ptr, forest.child_ids
+    n_children = np.diff(offsets)
 
     def children_of(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Flat child positions of `ids`, and how many each one has."""
@@ -113,7 +107,7 @@ def gen_wspd(
 
     neighbours = forest.roots_within_7t(cloud)
     seeds = np.array(
-        [(r, s) for r in forest.roots for s in neighbours[r] if s >= r], dtype=np.intp
+        [(r, s) for r, near in neighbours.items() for s in near if s >= r], dtype=np.intp
     ).reshape(-1, 2)
     push(seeds[:, 0], seeds[:, 1])
     found = [np.empty(0, dtype=np.int64)]  # emitted pairs as codes u * n_nodes + v
@@ -193,13 +187,13 @@ def verify_wspd(
     separation: list[tuple[int, int]] = []
     covered = np.zeros((cloud.n, cloud.n), dtype=bool)
     for u, v in wspd.pairs.tolist():
-        nu, nv = forest.nodes[u], forest.nodes[v]
-        dist = float(np.linalg.norm(pts[nu.rep] - pts[nv.rep]))
-        diam = max(_exact_diameter(pts, nu.points), _exact_diameter(pts, nv.points))
+        pu, pv = forest.points(u), forest.points(v)
+        dist = float(np.linalg.norm(pts[forest.rep[u]] - pts[forest.rep[v]]))
+        diam = max(_exact_diameter(pts, pu), _exact_diameter(pts, pv))
         if diam > epsilon * dist * (1 + rtol):
             separation.append((u, v))
-        covered[np.ix_(nu.points, nv.points)] = True
-        covered[np.ix_(nv.points, nu.points)] = True
+        covered[np.ix_(pu, pv)] = True
+        covered[np.ix_(pv, pu)] = True
 
     coverage: list[tuple[int, int]] = []
     dmat = pairwise_distances(cloud)

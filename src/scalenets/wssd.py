@@ -76,10 +76,13 @@ def approx_meb(points: np.ndarray, delta_meb: float = 0.05) -> Ball:
 
 @dataclass(frozen=True)
 class WsTuple:
-    """Ordered node tuple plus the enclosing ball of its representatives."""
+    """Ordered node tuple plus the enclosing ball of its representatives.
+
+    `meb` is None for tuples read back from a file, which stores no balls.
+    """
 
     nodes: tuple[int, ...]
-    meb: Ball
+    meb: Ball | None
 
 
 @dataclass
@@ -89,15 +92,6 @@ class Wssd:
     t: float
     k: int
     stats: dict[str, int] = field(default_factory=dict)
-
-
-def _cover_bound(forest: NetForest, node_id: int) -> float:
-    v = forest.nodes[node_id]
-    if v.is_leaf:
-        return 0.0
-    if v.is_root:
-        return forest.t
-    return COVER_COEF * float(TAU) ** v.level
 
 
 def _level_floor(value: float) -> int:
@@ -133,7 +127,8 @@ def gen_wssd(
             f"forest must be built at scale 2t={2.0 * t}, got {forest.t}"
         )
     pts = cloud.points
-    rep_of = np.array([v.rep for v in forest.nodes], dtype=np.intp)
+    rep_of = forest.rep
+    parent, level, cover = forest.parent.tolist(), forest.level.tolist(), forest.cover.tolist()
     stats = {"skipped": 0, "capped": 0, "fallback_all_roots": 0}
 
     def make_tier(node_tuples: list[tuple[int, ...]]) -> list[WsTuple]:
@@ -150,7 +145,7 @@ def gen_wssd(
     tiers: dict[int, list[WsTuple]] = {1: make_tier(list(map(tuple, base.pairs.tolist())))}
 
     neighbours = forest.roots_within_7t(cloud)
-    cover = np.array([_cover_bound(forest, v.id) for v in forest.nodes])
+    roots = forest.roots.tolist()
     descend_cache: dict[tuple[int, int], list[int]] = {}
 
     def cells_at(w: int, lam: int) -> list[int]:
@@ -164,7 +159,7 @@ def gen_wssd(
         extended: list[tuple[int, ...]] = []
         for tup in tiers[j]:
             r = tup.meb.radius
-            maxcov = float(cover[list(tup.nodes)].max())
+            maxcov = max(cover[v] for v in tup.nodes)
             if r / (1.0 + delta_meb) - maxcov > t:
                 stats["skipped"] += 1
                 continue
@@ -177,21 +172,20 @@ def gen_wssd(
             # the rel radius 14*tau^level must absorb two covering hops plus
             # the search reach, hence the 14 - 2*2.2 = 9.6 margin
             rel_margin = 14.0 - 2.0 * COVER_COEF
-            v0 = forest.nodes[tup.nodes[0]]
-            anchor = v0
-            while not anchor.is_root and need > rel_margin * float(TAU) ** anchor.level:
-                anchor = forest.nodes[anchor.parent]
-            if not anchor.is_root:
-                sources = anchor.rel
+            anchor = tup.nodes[0]
+            while parent[anchor] >= 0 and need > rel_margin * float(TAU) ** level[anchor]:
+                anchor = parent[anchor]
+            if parent[anchor] >= 0:
+                sources = forest.rel_of(anchor)
             else:
+                # the walk ended at the root of the tuple's first node
                 stats["capped"] += 1
-                root = forest.nodes[forest.root_of(v0.id)]
                 need_root = 2.0 * forest.t + 4.0 * r + 3.0 * maxcov + cell_pad
                 if need_root <= 7.0 * forest.t:
-                    sources = neighbours[root.id]
+                    sources = neighbours[anchor]
                 else:
                     stats["fallback_all_roots"] += 1
-                    sources = forest.roots
+                    sources = roots
 
             cands: list[int] = []
             seen_cells: set[int] = set()
@@ -202,8 +196,8 @@ def gen_wssd(
                         cands.append(c)
             cand_arr = np.array(cands, dtype=np.intp)
             d = np.linalg.norm(pts[rep_of[cand_arr]] - tup.meb.center, axis=1)
-            for c in cand_arr[d <= r_search * (1 + 1e-12)]:
-                nodes = tup.nodes + (int(c),)
+            for c in cand_arr[d <= r_search * (1 + 1e-12)].tolist():
+                nodes = tup.nodes + (c,)
                 if nodes not in seen:
                     seen.add(nodes)
                     extended.append(nodes)
@@ -261,11 +255,11 @@ def verify_wssd(
     pts = cloud.points
 
     node_mask: dict[int, int] = {}
-    for v in forest.nodes:
+    for v in range(forest.n_nodes):
         m = 0
-        for p in v.points:
-            m |= 1 << int(p)
-        node_mask[v.id] = m
+        for p in forest.points(v).tolist():
+            m |= 1 << p
+        node_mask[v] = m
 
     coverage: list[tuple[int, ...]] = []
     for j in range(1, k + 1):
@@ -284,7 +278,7 @@ def verify_wssd(
     separation: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for j, tuples in sorted(wssd.tiers.items()):
         for tup in tuples:
-            sets = [forest.nodes[v].points for v in tup.nodes]
+            sets = [forest.points(v) for v in tup.nodes]
             union = np.unique(np.concatenate(sets))
             diam = 0.0
             for s in sets:
@@ -327,7 +321,7 @@ def write_wssd(path: str | Path, wssd: Wssd) -> None:
 
 
 def read_wssd(path: str | Path) -> Wssd:
-    """Parse tuples back; cached balls are not stored in the file."""
+    """Parse tuples back; the file stores no balls, so every `meb` is None."""
     text = Path(path).read_text().splitlines()
     if not text or not text[0].startswith("wssd v1 "):
         raise ValueError(f"{path}: not a wssd v1 file")
@@ -343,9 +337,7 @@ def read_wssd(path: str | Path) -> Wssd:
         nodes = tuple(int(x) for x in toks[2:])
         if len(nodes) != j + 1:
             raise ValueError(f"{path}: tier {j} tuple with {len(nodes)} nodes")
-        tiers.setdefault(j, []).append(
-            WsTuple(nodes=nodes, meb=Ball(np.zeros(1), 0.0))
-        )
+        tiers.setdefault(j, []).append(WsTuple(nodes=nodes, meb=None))
     return Wssd(
         tiers=tiers,
         epsilon=float(header["epsilon"]),

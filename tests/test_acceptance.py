@@ -118,7 +118,7 @@ def test_criterion_03_bucket_bound():
 def test_criterion_04_net_validity(structural_forests):
     bad_all = []
     for name, cloud, t, forest in structural_forests:
-        rep_ids = [forest.nodes[x].rep for x in forest.roots]
+        rep_ids = forest.rep[forest.roots].tolist()
         rep_pts = cloud.points[rep_ids]
         for p in range(cloud.n):
             if float(np.linalg.norm(rep_pts - cloud.points[p], axis=1).min()) > t * (1 + 1e-9):
@@ -127,7 +127,7 @@ def test_criterion_04_net_validity(structural_forests):
             d = np.linalg.norm(rep_pts[i + 1 :] - rep_pts[i], axis=1)
             if d.size and float(d.min()) <= t * (1 - 1e-9):
                 bad_all.append(f"{name}: roots too close")
-        total = sum(forest.nodes[x].points.size for x in forest.roots)
+        total = sum(forest.points(x).size for x in forest.roots)
         if total != cloud.n:
             bad_all.append(f"{name}: partition {total} != {cloud.n}")
     report(4, "net validity: (t,t)-net covering/separation and partition", not bad_all,
@@ -140,7 +140,7 @@ def test_criterion_05_net_tree_structure(structural_forests):
         bad = forest_mod.check_forest(forest, cloud)
         if bad:
             bad_all.append(f"{name}: {bad[0]}")
-        levels = sorted({v.level for v in forest.nodes if not v.is_root})
+        levels = sorted(set(forest.level[forest.parent >= 0].tolist()))
         for lev in levels[-3:]:
             reps = forest_mod.extract_net(forest, lev)
             cover = forest_mod.COVER_COEF * 11.0**lev
@@ -152,11 +152,12 @@ def test_criterion_05_net_tree_structure(structural_forests):
                     break
             sep = forest_mod.PACK_COEF * 11.0**lev
             by_tree: dict[int, list[int]] = {}
-            for v in forest.nodes:
-                low_ok = v.is_leaf or v.level <= lev
-                high_ok = v.is_root or lev < forest.nodes[v.parent].level
+            for v in range(forest.n_nodes):
+                parent = forest.parent[v]
+                low_ok = not forest.children_of(v) or forest.level[v] <= lev
+                high_ok = parent < 0 or lev < forest.level[parent]
                 if low_ok and high_ok:
-                    by_tree.setdefault(forest.root_of(v.id), []).append(v.rep)
+                    by_tree.setdefault(forest.root_of(v), []).append(forest.rep[v])
             for tree_reps in by_tree.values():
                 if len(tree_reps) < 2:
                     continue
@@ -175,8 +176,8 @@ def test_criterion_06_rel_equivalence():
     t = quantile_scale(cloud, 0.15)
     forest = forest_mod.build_forest(cloud, t, nn="exact")
     mismatches = 0
-    for v in forest.nodes:
-        if v.rel != forest_mod.brute_force_rel(forest, cloud, v.id):
+    for v in range(forest.n_nodes):
+        if forest.rel_of(v) != forest_mod.brute_force_rel(forest, cloud, v):
             mismatches += 1
     grid_ok = all(
         forest_mod.REL_COEF * 11.0 ** forest_mod.root_level(float(tt)) <= 7 * tt * (1 + 1e-9)
@@ -184,7 +185,7 @@ def test_criterion_06_rel_equivalence():
     )
     report(6, "rel equivalence and 14*tau^level <= 7t over a log grid",
            mismatches == 0 and grid_ok,
-           f"{mismatches} mismatched nodes over {len(forest.nodes)}")
+           f"{mismatches} mismatched nodes over {forest.n_nodes}")
 
 
 def test_criterion_07_wspd():
@@ -324,40 +325,66 @@ def test_criterion_11_dimension():
            f"zero={zero_ok} offsets={[(n, round(o, 2)) for n, o in offsets]}")
 
 
+def run_criterion_12_pipeline(base) -> dict[str, str]:
+    """Run the CLI pipeline in directory `base`; sha256 of each output file."""
+    base.mkdir()
+    paths = {}
+
+    def out(name):
+        paths[name] = base / name
+        return str(base / name)
+
+    assert cli_mod.main(["gen-data", "--kind", "clustered", "--n", "60", "--d", "3",
+                         "--seed", "7", "--output", out("pts.txt")]) == 0
+    assert cli_mod.main(["build-forest", "--input", str(paths["pts.txt"]),
+                         "--output", out("forest.txt"), "--t", "1.5", "--seed", "8"]) == 0
+    assert cli_mod.main(["wspd", "--input", str(paths["pts.txt"]),
+                         "--forest", str(paths["forest.txt"]),
+                         "--output", out("pairs.txt"), "--t", "1.5",
+                         "--epsilon", "0.5", "--seed", "8"]) == 0
+    assert cli_mod.main(["wssd", "--input", str(paths["pts.txt"]),
+                         "--output", out("tuples.txt"), "--t", "0.75",
+                         "--epsilon", "0.5", "--k", "2", "--seed", "8"]) == 0
+    assert cli_mod.main(["cech", "--input", str(paths["pts.txt"]),
+                         "--output", out("slices.txt"), "--t", "0.75",
+                         "--epsilon", "0.5", "--k", "2", "--seed", "8",
+                         "--grid", "0.2,0.4,0.75"]) == 0
+    assert cli_mod.main(["dim-estimate", "--forest", str(paths["forest.txt"]),
+                         "--output", out("dim.txt")]) == 0
+    return {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
+
+
 def test_criterion_12_determinism(tmp_path):
-    def run_pipeline(tag: str) -> dict[str, str]:
-        base = tmp_path / tag
-        base.mkdir()
-        paths = {}
-
-        def out(name):
-            paths[name] = base / name
-            return str(base / name)
-
-        assert cli_mod.main(["gen-data", "--kind", "clustered", "--n", "60", "--d", "3",
-                             "--seed", "7", "--output", out("pts.txt")]) == 0
-        assert cli_mod.main(["build-forest", "--input", str(paths["pts.txt"]),
-                             "--output", out("forest.txt"), "--t", "1.5", "--seed", "8"]) == 0
-        assert cli_mod.main(["wspd", "--input", str(paths["pts.txt"]),
-                             "--forest", str(paths["forest.txt"]),
-                             "--output", out("pairs.txt"), "--t", "1.5",
-                             "--epsilon", "0.5", "--seed", "8"]) == 0
-        assert cli_mod.main(["wssd", "--input", str(paths["pts.txt"]),
-                             "--output", out("tuples.txt"), "--t", "0.75",
-                             "--epsilon", "0.5", "--k", "2", "--seed", "8"]) == 0
-        assert cli_mod.main(["cech", "--input", str(paths["pts.txt"]),
-                             "--output", out("slices.txt"), "--t", "0.75",
-                             "--epsilon", "0.5", "--k", "2", "--seed", "8",
-                             "--grid", "0.2,0.4,0.75"]) == 0
-        assert cli_mod.main(["dim-estimate", "--forest", str(paths["forest.txt"]),
-                             "--output", out("dim.txt")]) == 0
-        return {name: hashlib.sha256(p.read_bytes()).hexdigest() for name, p in paths.items()}
-
-    first = run_pipeline("run1")
-    second = run_pipeline("run2")
+    first = run_criterion_12_pipeline(tmp_path / "run1")
+    second = run_criterion_12_pipeline(tmp_path / "run2")
     ok = first == second
     report(12, "determinism: identical seeds give bit-identical output files", ok,
            f"{sorted(first)} compared")
+
+
+# The criterion-12 outputs as written by the per-node object forest (numpy
+# 2.4). Determinism alone passes a refactor that changes every output the
+# same way on each run; these pins do not.
+PINNED_CRITERION_12 = {
+    "pts.txt": "d8520fe9b5bb398731cae876b276a746ca1647672c593c9799cd15154a899253",
+    "forest.txt": "a2bb497a658d3b2d622370a7b90f3757bafa63330c09ab91c1689e63a6a0b4d7",
+    "pairs.txt": "d791a70ce2af851d2fe0abec904a05fbcf36e8b0e76920f4f12cad83efb7cdb8",
+    "tuples.txt": "8eb8afc25b4eedb19dda79c6f52d9bbbda1e6178a7ce03bdd476a743ed9b9865",
+    "slices.txt": "2002f246f3c2e72190fc84e958e46ff093d01326f7d9aab08ae4fe8d37c7c3c0",
+    "dim.txt": "ee673cd1280ebb7352b1f4a2b81215be2495c1b78a27b253366f35801f47afbf",
+}
+
+
+def test_criterion_12_pinned_outputs(tmp_path):
+    hashes = run_criterion_12_pipeline(tmp_path / "run")
+    # the points come from numpy's generator: if they moved, the pins below
+    # say nothing about this package's outputs
+    assert hashes["pts.txt"] == PINNED_CRITERION_12["pts.txt"], (
+        "gen-data output changed (numpy random generator?); the output pins do not apply"
+    )
+    changed = sorted(name for name in hashes if hashes[name] != PINNED_CRITERION_12[name])
+    report(12, "pinned outputs: the CLI pipeline writes the recorded files",
+           not changed and hashes.keys() == PINNED_CRITERION_12.keys(), f"changed: {changed}")
 
 
 def test_criterion_13_scaling_trend():

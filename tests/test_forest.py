@@ -6,13 +6,16 @@ from scalenets.forest import (
     PACK_COEF,
     REL_COEF,
     TAU,
+    NetForest,
     brute_force_rel,
     build_cluster_tree,
     build_forest,
     build_net,
     build_root_rel,
     check_forest,
+    descend_to_level,
     extract_net,
+    nodes_at_level,
     read_forest,
     root_level,
     vcell,
@@ -103,22 +106,25 @@ def test_build_root_rel_far_clusters():
     assert rel == [[0], [1]]
 
 
+def fragment_forest(parent, level, rep):
+    """A cluster-tree fragment as a forest without rel lists."""
+    return NetForest(parent, level, rep, np.zeros(parent.size + 1), [], 1.0, int(level[0]))
+
+
 def test_cluster_tree_singleton():
     cloud = PointCloud(np.array([[1.0, 1.0]]))
-    nodes = build_cluster_tree(cloud, np.array([0]), 0, 3)
-    assert len(nodes) == 1 and nodes[0].is_leaf and nodes[0].level == 3
+    parent, level, rep = build_cluster_tree(cloud, np.array([0]), 0, 3)
+    assert parent.tolist() == [-1] and rep.tolist() == [0] and level.tolist() == [3]
 
 
 def test_cluster_tree_two_points():
     cloud = PointCloud(np.array([[0.0], [0.5]]))
-    nodes = build_cluster_tree(cloud, np.array([0, 1]), 0, 0)
-    root = nodes[0]
-    assert root.level == 0 and root.points.tolist() == [0, 1]
-    leaves = [v for v in nodes if v.is_leaf]
-    assert sorted(leaf.points[0] for leaf in leaves) == [0, 1]
-    for v in nodes:
-        if v.parent is not None:
-            assert v.level < nodes[v.parent].level
+    parent, level, rep = build_cluster_tree(cloud, np.array([0, 1]), 0, 0)
+    fragment = fragment_forest(parent, level, rep)
+    assert parent[0] == -1 and level[0] == 0 and fragment.points(0).tolist() == [0, 1]
+    leaves = np.setdiff1d(np.arange(parent.size), parent)
+    assert sorted(rep[leaves].tolist()) == [0, 1]
+    assert np.all(level[1:] < level[parent[1:]])
 
 
 def test_cluster_tree_invariants_hundred_points(corpora):
@@ -134,6 +140,47 @@ def test_forest_invariants_all_corpora(corpora):
         assert bad == [], f"{name}: {bad[:3]}"
 
 
+def test_forest_invariants_deep_clouds():
+    for name, cloud, t in DEEP_CLOUDS:
+        bad = check_forest(build_forest(cloud, t, nn="exact"), cloud)
+        assert bad == [], f"{name}: {bad[:3]}"
+
+
+def bare_forest(parent, level, rep, t=1.0):
+    """A forest from node arrays, with empty rel lists."""
+    return NetForest(parent, level, rep, np.zeros(len(parent) + 1), [], t, -1)
+
+
+def test_check_forest_flags_each_violation():
+    line = lambda *xs: PointCloud(np.array(xs)[:, None])
+    # root 0 over node 1 (leaves 2, 3) and leaf 4; valid on the points 0, 0.001, 0.5
+    parent, level, rep = [-1, 0, 1, 1, 0], [-1, -2, -3, -3, -2], [0, 0, 0, 1, 2]
+    cloud = line(0.0, 0.001, 0.5)
+    assert check_forest(bare_forest(parent, level, rep), cloud) == []
+    cases = [
+        (bare_forest(parent, [-1, -2, -3, -3, -1], rep), cloud,
+         ["node 4: level not below parent"]),
+        (bare_forest(parent, level, [1, 0, 0, 1, 2]), cloud,
+         ["node 0: rep not inherited from a child"]),
+        (bare_forest(parent, [-1, -4, -5, -5, -2], rep), cloud,
+         ["node 1: covering radius exceeded"]),
+        (bare_forest(parent, level, rep), line(0.0, 0.001, 0.002),
+         ["node 1: packing misses points [2]", "node 4: packing misses points [0, 1]"]),
+        (bare_forest(parent, level, rep), line(0.0, 0.001, 0.5, 0.3),
+         ["root point sets do not partition the cloud"]),
+        (bare_forest(parent, level, rep), line(0.0, 0.001, 5.0),
+         ["point 2 not covered by any root within t", "node 0: covering radius exceeded"]),
+        (bare_forest([-1, -1], [-1, -1], [0, 1]), line(0.0, 0.5),
+         ["roots 0,1 closer than t"]),
+        (bare_forest([-1, 0, 1, 2, 2], [-1, -2, -3, -4, -4], [0, 0, 0, 0, 1]), line(0.0, 0.001),
+         ["node 1: internal node with fewer than 2 children"]),
+        (bare_forest([-1, 0, 1, 0], [-1, -2, -3, -2], [0, 0, 0, 1]), line(0.0, 0.5),
+         ["node 1: leaf with children"]),
+    ]
+    for forest, points, want in cases:
+        assert check_forest(forest, points) == want
+
+
 def test_rel_equals_bruteforce(corpora):
     builds = [(name, cloud, t, "exact") for name, cloud, t in corpora]
     builds += [
@@ -144,8 +191,8 @@ def test_rel_equals_bruteforce(corpora):
     builds.append(("clustered-lsh", lsh_cloud, quantile_scale(lsh_cloud, 0.2), "lsh"))
     for name, cloud, t, nn in builds:
         forest = build_forest(cloud, t, seed=2, nn=nn)
-        for v in forest.nodes:
-            assert v.rel == brute_force_rel(forest, cloud, v.id), f"{name} node {v.id}"
+        for v in range(forest.n_nodes):
+            assert forest.rel_of(v) == brute_force_rel(forest, cloud, v), f"{name} node {v}"
 
 
 def test_roots_within_7t_built_and_loaded_agree(tmp_path, corpora):
@@ -154,7 +201,7 @@ def test_roots_within_7t_built_and_loaded_agree(tmp_path, corpora):
         cloud = PointCloud(np.array([[0.0], [gap]]))
         forest = build_forest(cloud, 1.0, nn="exact")
         assert len(forest.roots) == 2
-        a, b = forest.roots
+        a, b = forest.roots.tolist()
         want = {a: [a, b], b: [a, b]} if kept else {a: [a], b: [b]}
         assert forest.roots_within_7t(cloud) == want
     for name, cloud, t in corpora:
@@ -167,9 +214,9 @@ def test_roots_within_7t_built_and_loaded_agree(tmp_path, corpora):
 def test_rel_symmetric_for_roots(corpora):
     _, cloud, t = corpora[1]
     forest = build_forest(cloud, t, nn="exact")
-    for r in forest.roots:
-        for s in forest.nodes[r].rel:
-            assert r in forest.nodes[s].rel
+    for r in forest.roots.tolist():
+        for s in forest.rel_of(r):
+            assert r in forest.rel_of(s)
 
 
 def test_isolated_cluster_rel_stays_home():
@@ -179,10 +226,10 @@ def test_isolated_cluster_rel_stays_home():
     cloud = PointCloud(np.vstack([near_blob, far_blob]))
     t = 0.4
     forest = build_forest(cloud, t, nn="exact")
-    far_roots = {r for r in forest.roots if forest.nodes[r].rep >= 20}
-    for v in forest.nodes:
-        in_far = forest.root_of(v.id) in far_roots
-        for w in v.rel:
+    far_roots = {r for r in forest.roots.tolist() if forest.rep[r] >= 20}
+    for v in range(forest.n_nodes):
+        in_far = forest.root_of(v) in far_roots
+        for w in forest.rel_of(v):
             assert (forest.root_of(w) in far_roots) == in_far
 
 
@@ -190,8 +237,8 @@ def test_extract_net_boundaries(corpora):
     _, cloud, t = corpora[0]
     forest = build_forest(cloud, t, nn="exact")
     top = extract_net(forest, forest.root_level)
-    assert sorted(top) == sorted(forest.nodes[r].rep for r in forest.roots)
-    below = min(v.level for v in forest.nodes) - 1
+    assert sorted(top) == sorted(forest.rep[forest.roots].tolist())
+    below = int(forest.level.min()) - 1
     assert len(extract_net(forest, below)) == cloud.n
     with pytest.raises(ValueError):
         extract_net(forest, forest.root_level + 1)
@@ -200,7 +247,7 @@ def test_extract_net_boundaries(corpora):
 def test_extract_net_mid_level_bounds(corpora):
     for name, cloud, t in corpora[:2]:
         forest = build_forest(cloud, t, nn="exact")
-        levels = sorted({v.level for v in forest.nodes})
+        levels = sorted(set(forest.level.tolist()))
         if len(levels) < 3:
             continue
         mid = levels[len(levels) // 2]
@@ -213,12 +260,12 @@ def test_extract_net_mid_level_bounds(corpora):
         # separation within each tree
         sep = PACK_COEF * float(TAU) ** mid
         by_tree: dict[int, list[int]] = {}
-        rep_to_node = {}
-        for v in forest.nodes:
-            low_ok = v.is_leaf or v.level <= mid
-            high_ok = v.is_root or mid < forest.nodes[v.parent].level
+        for v in range(forest.n_nodes):
+            parent = forest.parent[v]
+            low_ok = not forest.children_of(v) or forest.level[v] <= mid
+            high_ok = parent < 0 or mid < forest.level[parent]
             if low_ok and high_ok:
-                by_tree.setdefault(forest.root_of(v.id), []).append(v.rep)
+                by_tree.setdefault(forest.root_of(v), []).append(forest.rep[v])
         for tree_reps in by_tree.values():
             sub = cloud.points[tree_reps]
             if len(tree_reps) < 2:
@@ -230,21 +277,68 @@ def test_extract_net_mid_level_bounds(corpora):
 
 
 def test_vcell_is_level_interval_cell(corpora):
-    _, cloud, t = corpora[1]
-    forest = build_forest(cloud, t, nn="exact")
-    for h in range(forest.root_level - 3, forest.root_level):
+    # the structural corpora give root-and-leaf trees; DEEP_CLOUDS have
+    # internal nodes below their roots
+    for _, cloud, t in corpora + DEEP_CLOUDS:
+        check_vcell(build_forest(cloud, t, nn="exact"), cloud)
+
+
+def check_vcell(forest, cloud):
+    # the levels of internal nodes put h on the boundary of their children's intervals
+    stored = forest.level[forest.level < forest.root_level].tolist()
+    for h in sorted(set(range(forest.root_level - 3, forest.root_level)) | set(stored)):
         for p in range(0, cloud.n, 7):
-            node = forest.nodes[vcell(forest, p, h)]
-            assert p in set(node.points.tolist())
-            assert np.linalg.norm(cloud.points[p] - cloud.points[node.rep]) <= COVER_COEF * float(
+            node = vcell(forest, p, h)
+            assert p in set(forest.points(node).tolist())
+            rep_pt = cloud.points[forest.rep[node]]
+            assert np.linalg.norm(cloud.points[p] - rep_pt) <= COVER_COEF * float(
                 TAU
             ) ** h * (1 + 1e-9)
-            if not node.is_leaf:
-                assert node.level < h
-            if node.parent is not None:
-                assert h <= forest.nodes[node.parent].level
+            if forest.children_of(node):
+                assert forest.level[node] < h
+            if forest.parent[node] >= 0:
+                assert h <= forest.level[forest.parent[node]]
     with pytest.raises(ValueError):
         vcell(forest, 0, forest.root_level)
+
+
+DEEP_CLOUDS = [
+    ("line", PointCloud(np.geomspace(1e-3, 10, 40)[:, None]), 20.0),
+    ("uniform-one-root", generate("uniform", n=150, d=2, seed=4), 2.0),
+    ("clustered-one-root", generate("clustered", n=150, d=3, seed=4, clusters=5), 30.0),
+]
+
+
+def walk_cells(forest, node, level):
+    """The tree walk the level queries replaced: stop at leaves and at levels <= `level`."""
+    out, stack = [], [node]
+    while stack:
+        v = stack.pop()
+        children = forest.children_of(v)
+        if not children or forest.level[v] <= level:
+            out.append(v)
+        else:
+            stack.extend(reversed(children))
+    return out
+
+
+def test_level_queries_match_tree_walks(corpora):
+    for name, cloud, t in corpora[:1] + DEEP_CLOUDS:
+        forest = build_forest(cloud, t, nn="exact")
+        for level in range(int(forest.level.min()) - 1, forest.root_level + 1):
+            want = [v for r in forest.roots.tolist() for v in walk_cells(forest, r, level)]
+            assert nodes_at_level(forest, level) == want, (name, level)
+            assert extract_net(forest, level) == sorted({int(forest.rep[v]) for v in want})
+            for v in range(forest.n_nodes):
+                parent = forest.parent[v]
+                if parent < 0 or level < forest.level[parent]:
+                    assert descend_to_level(forest, v, level) == walk_cells(forest, v, level)
+
+
+FOREST_ARRAYS = (
+    "parent", "level", "rep", "rel_ptr", "rel_ids", "roots", "child_ptr", "child_ids",
+    "size", "is_leaf", "leaf_of", "low", "high", "cover",
+)
 
 
 def test_forest_roundtrip(tmp_path, corpora):
@@ -256,17 +350,11 @@ def test_forest_roundtrip(tmp_path, corpora):
     back = read_forest(path)
     write_forest(tmp_path / "again.txt", back, cloud.dim)
     assert (tmp_path / "again.txt").read_text() == first
-    assert back.root_level == forest.root_level and back.t == forest.t
-    for a, b in zip(forest.nodes, back.nodes):
-        assert (a.id, a.rep, a.level, a.parent, a.children, a.rel) == (
-            b.id,
-            b.rep,
-            b.level,
-            b.parent,
-            b.children,
-            b.rel,
-        )
-        assert np.array_equal(a.points, b.points)
+    assert back.root_level == forest.root_level and back.t == forest.t and back.n == forest.n
+    for name in FOREST_ARRAYS:
+        assert np.array_equal(getattr(back, name), getattr(forest, name)), name
+    for v in range(forest.n_nodes):
+        assert np.array_equal(back.points(v), forest.points(v))
 
 
 def test_forest_with_lsh_primitive_matches_exact_when_lucky():
@@ -282,6 +370,93 @@ def test_duplicate_points_tree_terminates():
     pts = np.vstack([np.zeros((3, 2)), np.array([[4.0, 0.0]])])
     cloud = PointCloud(pts)
     forest = build_forest(cloud, 1.0, nn="exact")
-    leaves = [v for v in forest.nodes if v.is_leaf]
+    leaves = np.setdiff1d(np.arange(forest.n_nodes), forest.parent)
     assert len(leaves) == 4
-    assert sum(forest.nodes[r].points.size for r in forest.roots) == 4
+    assert sum(forest.points(r).size for r in forest.roots) == 4
+
+
+# a valid three-point forest: root 0 over the subtrees {1, 2, 3} and {4}
+FOREST_HEADER = "netforest v1 n=3 dim=1 t=1 tau=11 root_level=-1"
+FOREST_NODES = [
+    "node 0 parent=- level=-1 rep=0 children=1,4 rel=0",
+    "node 1 parent=0 level=-2 rep=0 children=2,3 rel=1,4",
+    "node 2 parent=1 level=-3 rep=0 children= rel=2",
+    "node 3 parent=1 level=-3 rep=1 children= rel=3",
+    "node 4 parent=0 level=-2 rep=2 children= rel=1,4",
+]
+
+
+def write_nodes(tmp_path, changes=(), header=FOREST_HEADER):
+    """The valid forest file with some node lines replaced."""
+    nodes = list(FOREST_NODES)
+    for i, line in changes:
+        nodes[i] = line
+    path = tmp_path / "forest.txt"
+    path.write_text("\n".join([header, *nodes]) + "\n")
+    return path
+
+
+def test_read_accepts_hand_written_forest(tmp_path):
+    forest = read_forest(write_nodes(tmp_path))
+    assert forest.n == 3 and forest.roots.tolist() == [0]
+    assert forest.size.tolist() == [5, 3, 1, 1, 1]
+    assert forest.points(1).tolist() == [0, 1] and forest.leaf_of.tolist() == [2, 3, 4]
+
+
+def test_read_rejects_repeated_leaf_rep(tmp_path):
+    path = write_nodes(tmp_path, [(2, "node 2 parent=1 level=-3 rep=1 children= rel=2")])
+    with pytest.raises(ValueError, match="leaf reps"):
+        read_forest(path)
+
+
+def test_read_rejects_leaf_count_not_header_n(tmp_path):
+    path = write_nodes(tmp_path, header=FOREST_HEADER.replace("n=3", "n=4"))
+    with pytest.raises(ValueError, match="header says n=4"):
+        read_forest(path)
+
+
+def test_read_rejects_parent_disagreeing_with_children(tmp_path):
+    # node 4 moves under node 1 by its parent field alone
+    path = write_nodes(tmp_path, [(4, "node 4 parent=1 level=-2 rep=2 children= rel=1,4")])
+    with pytest.raises(ValueError, match="children lists disagree"):
+        read_forest(path)
+
+
+def test_read_rejects_out_of_range_rel(tmp_path):
+    path = write_nodes(tmp_path, [(2, "node 2 parent=1 level=-3 rep=0 children= rel=2,7")])
+    with pytest.raises(ValueError, match="rel id out of range"):
+        read_forest(path)
+
+
+def test_read_rejects_out_of_range_rep(tmp_path):
+    path = write_nodes(tmp_path, [(1, "node 1 parent=0 level=-2 rep=5 children=2,3 rel=1,4")])
+    with pytest.raises(ValueError, match="rep out of range"):
+        read_forest(path)
+
+
+def test_read_rejects_out_of_range_child(tmp_path):
+    path = write_nodes(tmp_path, [(1, "node 1 parent=0 level=-2 rep=0 children=2,9 rel=1,4")])
+    with pytest.raises(ValueError, match="children lists disagree"):
+        read_forest(path)
+
+
+def test_read_rejects_ids_not_preorder(tmp_path):
+    # parents precede their children, but node 1's subtree {1, 4} is not an id range
+    path = write_nodes(tmp_path, [
+        (0, "node 0 parent=- level=-1 rep=0 children=1,2 rel=0"),
+        (1, "node 1 parent=0 level=-2 rep=0 children=4 rel=1"),
+        (2, "node 2 parent=0 level=-2 rep=1 children=3 rel=2"),
+        (3, "node 3 parent=2 level=-3 rep=1 children= rel=3"),
+        (4, "node 4 parent=1 level=-3 rep=0 children= rel=4"),
+    ], header=FOREST_HEADER.replace("n=3", "n=2"))
+    with pytest.raises(ValueError, match="not a preorder"):
+        read_forest(path)
+
+
+def test_read_rejects_parent_after_child(tmp_path):
+    path = write_nodes(tmp_path, [
+        (1, "node 1 parent=4 level=-2 rep=0 children=2,3 rel=1,4"),
+        (4, "node 4 parent=0 level=-2 rep=2 children=1 rel=1,4"),
+    ])
+    with pytest.raises(ValueError, match="parent id must be below"):
+        read_forest(path)

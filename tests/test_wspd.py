@@ -26,22 +26,21 @@ def reference_pairs(forest, cloud, epsilon):
     while stack:
         a, b = stack.pop()
         if a == b:
-            node = forest.nodes[a]
-            if node.is_leaf:
+            ch = forest.children_of(a)
+            if not ch:
                 continue
-            ch = node.children
             for i in range(len(ch)):
                 for j in range(i, len(ch)):
                     stack.append((min(ch[i], ch[j]), max(ch[i], ch[j])))
             continue
         da, db = diam_bound(forest, a), diam_bound(forest, b)
-        dist = float(np.linalg.norm(pts[forest.nodes[a].rep] - pts[forest.nodes[b].rep]))
+        dist = float(np.linalg.norm(pts[forest.rep[a]] - pts[forest.rep[b]]))
         if max(da, db) <= epsilon * dist:
             out.add((a, b))
             continue
         split = a if (da > db or (da == db and a < b)) else b
         keep = b if split == a else a
-        for c in forest.nodes[split].children:
+        for c in forest.children_of(split):
             stack.append((min(c, keep), max(c, keep)))
     return sorted(out)
 
@@ -102,8 +101,8 @@ def test_two_tight_clusters_coverage():
     # every cross point pair is covered by an emitted pair
     covered_cross = set()
     for u, v in wspd.pairs.tolist():
-        pu = set(forest.nodes[u].points.tolist())
-        pv = set(forest.nodes[v].points.tolist())
+        pu = set(forest.points(u).tolist())
+        pv = set(forest.points(v).tolist())
         for p in pu & {0, 1}:
             for q in pv & {2, 3}:
                 covered_cross.add((p, q))
@@ -159,9 +158,9 @@ def test_verifier_flags_fabricated_violations():
     forest = build(cloud, t)
     wspd = gen_wspd(forest, cloud, 0.5, t)
     # separation: pair two fat sibling nodes that are far from separated
-    root = forest.nodes[forest.roots[0]]
-    if len(root.children) >= 2:
-        fat = np.sort(root.children[:2])[None, :]
+    children = forest.children_of(forest.roots[0])
+    if len(children) >= 2:
+        fat = np.sort(children[:2])[None, :]
         broken = Wspd(pairs=np.unique(np.vstack([wspd.pairs, fat]), axis=0), epsilon=1e-6, t=t)
         assert verify_wspd(cloud, forest, broken, 1e-6, t).separation_violations
     # coverage: delete one pair
@@ -177,18 +176,18 @@ def test_pairs_below_root_level(corpora):
     forest = build(cloud, t)
     wspd = gen_wspd(forest, cloud, 0.5, t)
     for u, v in wspd.pairs.tolist():
-        assert forest.nodes[u].level <= forest.root_level
-        assert forest.nodes[v].level <= forest.root_level
+        assert forest.level[u] <= forest.root_level
+        assert forest.level[v] <= forest.root_level
 
 
 def test_leaf_and_root_diameter_bounds():
     cloud = PointCloud(np.array([[0.0], [0.3], [9.0]]))
     forest = build(cloud, 1.0)
-    for v in forest.nodes:
-        if v.is_leaf:
-            assert diam_bound(forest, v.id) == 0.0
-        elif v.is_root:
-            assert diam_bound(forest, v.id) == 2.0
+    for v in range(forest.n_nodes):
+        if not forest.children_of(v):
+            assert diam_bound(forest, v) == 0.0
+        elif forest.parent[v] < 0:
+            assert diam_bound(forest, v) == 2.0
 
 
 def test_wspd_file_roundtrip(tmp_path, monkeypatch):

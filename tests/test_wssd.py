@@ -76,7 +76,7 @@ def test_two_points_high_k_degenerate_cover():
     # both points in distinct positions (repeated nodes allowed)
     masks = []
     for tup in wssd.tiers[3]:
-        sets = [set(forest.nodes[v].points.tolist()) for v in tup.nodes]
+        sets = [set(forest.points(v).tolist()) for v in tup.nodes]
         masks.append(sets)
     def covers_multiset(sets):
         # assign two positions to point 0 and two to point 1
@@ -143,10 +143,12 @@ def test_fabricated_separation_violation_detected():
     forest = build2t(cloud, t)
     wssd = gen_wssd(forest, cloud, 0.5, 2, t)
     pair_nodes = {
-        frozenset(v.points.tolist()): v.id for v in forest.nodes if v.points.size == 2
+        frozenset(forest.points(v).tolist()): v
+        for v in range(forest.n_nodes)
+        if forest.points(v).size == 2
     }
     assert frozenset({0, 1}) in pair_nodes and frozenset({2, 3}) in pair_nodes
-    leaf_far = next(v.id for v in forest.nodes if v.is_leaf and v.points[0] == 4)
+    leaf_far = int(forest.leaf_of[4])
     fake = WsTuple(
         nodes=(pair_nodes[frozenset({0, 1})], pair_nodes[frozenset({2, 3})], leaf_far),
         meb=approx_meb(cloud.points),
@@ -184,6 +186,8 @@ def test_wssd_file_roundtrip(tmp_path):
     assert back.k == 2 and back.epsilon == 0.5 and back.t == t
     for j in wssd.tiers:
         assert [w.nodes for w in back.tiers.get(j, [])] == [w.nodes for w in wssd.tiers[j]]
+        # the file stores no balls, so read tuples carry none
+        assert all(w.meb is None for w in back.tiers.get(j, []))
     write_wssd(tmp_path / "again.wssd", back)
     assert (tmp_path / "again.wssd").read_text() == path.read_text()
 
