@@ -19,7 +19,6 @@ from . import dimension as _dimension
 from . import forest as _forest
 from . import geometry as _geometry
 from . import lsh as _lsh
-from . import suite as _suite
 from . import wspd as _wspd
 from . import wssd as _wssd
 
@@ -218,20 +217,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_run_suite(args) -> int:
-    reports = _suite.run_suite(args.scale, args.seed)
-    text = _suite.reports_tsv(reports)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        print(text, end="")
-    failures = [r for r in reports if not r.passed]
-    if failures:
-        print(f"{len(failures)} properties failed", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _add_common(parser: argparse.ArgumentParser, *, seed_required: bool = True) -> None:
     parser.add_argument("--seed", type=int, required=seed_required, help="64-bit seed")
     parser.add_argument("--rho", type=float, default=0.5, help="LSH exponent in (0,1)")
@@ -322,12 +307,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None)
     _add_common(p)
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser("run-suite", help="execute the property-check registry")
-    p.add_argument("--scale", required=True, choices=["tiny", "small", "medium"])
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_run_suite)
 
     return parser
 

@@ -1,10 +1,13 @@
 import hashlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import scalenets
 from scalenets.cli import main
 from scalenets.geometry import read_points
 
@@ -29,12 +32,18 @@ def test_gen_data_affine(tmp_path):
 
 
 def test_gen_data_missing_seed_is_usage_error(tmp_path):
+    # the child process must import the same package as this one, which
+    # pytest's own `pythonpath` setting does not reach
+    src = str(Path(scalenets.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "scalenets", "gen-data", "--kind", "uniform",
          "--n", "10", "--d", "2", "--output", str(tmp_path / "x.txt")],
         capture_output=True,
+        env=env,
     )
-    assert proc.returncode == 2
+    assert proc.returncode == 2, proc.stderr
 
 
 def test_gen_data_curve_replay(tmp_path):
@@ -175,11 +184,3 @@ def test_bench_deterministic_nontiming_columns(tmp_path):
     assert stable[0] == stable[1]
     assert float(stable[0][3]) >= 0.85  # recall well above 1 - delta
 
-
-def test_run_suite_cli(tmp_path):
-    out = tmp_path / "suite.tsv"
-    assert run(["run-suite", "--scale", "tiny", "--seed", "42",
-                "--output", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0].startswith("property\t")
-    assert all("\tpass\t" in line for line in lines[1:])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,20 @@ def test_rel_equals_bruteforce(corpora):
             assert forest.rel_of(v) == brute_force_rel(forest, cloud, v), f"{name} node {v}"
 
 
+def test_root_rel_size_flat_at_constant_density():
+    # the domain grows with n at a fixed t, so the local geometry a root's
+    # rel list sees is the same at every size
+    sizes = {}
+    t = None
+    for n in (500, 1000, 2000):
+        cloud = generate("affine", n=n, d=6, flat_dim=2, seed=42, extent=math.sqrt(n / 500))
+        if t is None:
+            t = quantile_scale(cloud, 0.05)
+        forest = build_forest(cloud, t, nn="exact")
+        sizes[n] = int(np.diff(forest.rel_ptr)[forest.roots].max())
+    assert sizes[2000] <= 3 * max(sizes[500], 1), sizes
+
+
 def test_roots_within_7t_built_and_loaded_agree(tmp_path, corpora):
     # 1-d root pairs exactly at 7t and one ulp beyond it
     for gap, kept in [(7.0, True), (np.nextafter(7.0, 8.0), False)]:
@@ -245,11 +261,15 @@ def test_extract_net_boundaries(corpora):
 
 
 def test_extract_net_mid_level_bounds(corpora):
-    for name, cloud, t in corpora[:2]:
+    # the structural corpora give root-and-leaf trees, which have no middle
+    # level; DEEP_CLOUDS have 3 to 5 levels
+    checked = 0
+    for name, cloud, t in corpora[:2] + DEEP_CLOUDS:
         forest = build_forest(cloud, t, nn="exact")
         levels = sorted(set(forest.level.tolist()))
         if len(levels) < 3:
             continue
+        checked += 1
         mid = levels[len(levels) // 2]
         reps = extract_net(forest, mid)
         cover = COVER_COEF * float(TAU) ** mid
@@ -274,6 +294,7 @@ def test_extract_net_mid_level_bounds(corpora):
             dmat = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
             np.fill_diagonal(dmat, np.inf)
             assert dmat.min() >= sep * (1 - 1e-9), name
+    assert checked > 0
 
 
 def test_vcell_is_level_interval_cell(corpora):

@@ -162,12 +162,17 @@ def test_all_near_pairs_matches_queries():
 
 def test_candidates_scanned_clustered_bound():
     # clusters much tighter than r2: aggregate bucket occupancy stays near
-    # l * (cluster size + 1)
-    cloud = generate("clustered", n=250, d=4, seed=19, clusters=10, separation=40.0, spread=0.02)
+    # l * (cluster size + 1); the second corpus keeps the default cluster
+    # separation, so neighbouring clusters can share buckets
+    corpora = [
+        (generate("clustered", n=250, d=4, seed=19, clusters=10, separation=40.0, spread=0.02), 23),
+        (generate("clustered", n=600, d=6, seed=42, clusters=30, spread=0.05), 42),
+    ]
     r = 1.0
-    params = derive_params(250, r, 0.5, 0.1)
-    index = LshIndex(cloud.points, params, seed=23)
-    dm = pairwise_distances(cloud)
-    c_max = int((dm <= params.r2).sum(axis=1).max())
-    scanned = [index.query(q, r).candidates_scanned for q in range(250)]
-    assert float(np.mean(scanned)) <= params.l * (c_max + 1) * 1.5
+    for cloud, index_seed in corpora:
+        params = derive_params(cloud.n, r, 0.5, 0.1)
+        index = LshIndex(cloud.points, params, seed=index_seed)
+        dm = pairwise_distances(cloud)
+        c_max = int((dm <= params.r2).sum(axis=1).max())
+        scanned = [index.query(q, r).candidates_scanned for q in range(cloud.n)]
+        assert float(np.mean(scanned)) <= params.l * (c_max + 1) * 1.5, cloud.n
