@@ -26,7 +26,9 @@ print(f"n={cloud.n}, t={t:.3f}")
 
 forest = build_forest(cloud, 2 * t, nn="exact")  # decompositions live on a 2t forest
 wssd = gen_wssd(forest, cloud, 0.5, 2, t)
-print("tuple tiers:", {j: len(v) for j, v in wssd.tiers.items()})
+# tier j is one (tuples, j+1) array of forest node ids
+print("tuple tiers:", {j: v.shape for j, v in wssd.tiers.items()})
+print("first tier-2 tuple:", wssd.tiers[2][0].tolist())
 print("generation stats:", wssd.stats)
 report = verify_wssd(cloud, forest, wssd, 0.5, 2, t)
 print(f"coverage violations: {len(report.coverage_violations)}, "

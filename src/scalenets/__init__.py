@@ -29,7 +29,7 @@ from .forest import (
     write_forest,
 )
 from .wspd import Wspd, gen_wspd, verify_wspd, read_wspd, write_wspd
-from .wssd import Wssd, WsTuple, approx_meb, gen_wssd, verify_wssd, read_wssd, write_wssd
+from .wssd import Wssd, approx_meb, gen_wssd, verify_wssd, read_wssd, write_wssd
 from .cech import (
     FiltrationOutput,
     FiltrationSlice,

@@ -4,7 +4,7 @@ For each scale alpha in a grid over (0, t], points are coarsened to the
 net cells at a level h(alpha) chosen so the cell radius is at most
 (epsilon/7) * alpha. Every decomposition tuple whose nodes sit strictly
 below that level maps to a simplex over cell representatives, kept when
-the exact enclosing ball of those representatives has radius at most
+the minimum enclosing ball of those representatives has radius at most
 (1 + epsilon/2) * alpha. The result sandwiches the exact Cech complex at
 alpha: every exact simplex appears under the vertex coarsening, and every
 kept simplex has representative radius at most (1 + epsilon) * alpha.
@@ -13,6 +13,13 @@ The decomposition fed in must be built noticeably deeper than the target
 epsilon, so that the tuples covering a simplex are fine enough to survive
 the level gate at every grid scale; `build_cech_pipeline` uses
 epsilon/42.
+
+Each slice gathers the rep sets of all tuples as sorted arrays, one per set
+size, and sizes the 2- and 3-point sets in one closed-form pass
+(`geometry.meb_radii`). A radius within a 1e-8 relative band of the
+threshold is measured again by the `exact_meb` oracle, so every slice is
+the one `exact_meb` alone would give. Sets of 4 or more reps (k >= 3) go to
+`exact_meb` directly.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .forest import COVER_COEF, TAU, NetForest, build_forest, vcell
-from .geometry import PointCloud, exact_meb, row_distances
+from .geometry import PointCloud, exact_meb, meb_radii, row_distances
 from .wssd import Wssd, gen_wssd
 
 __all__ = [
@@ -137,47 +144,88 @@ def build_filtration(
         raise ValueError("grid must be strictly increasing")
 
     pts = cloud.points
+    scale = float(np.abs(pts).max())
+    large_radii: dict[tuple[int, ...], float] = {}
     slices: list[FiltrationSlice] = []
-    rad_cache: dict[tuple[int, ...], float] = {}
     # per tier: each tuple's largest node `low`, which the level gate needs
     # below h, and its nodes' reps. A node with low < h lies in the cell of
     # its rep's leaf, since the rep's leaf is in the node's subtree.
     rep = forest.rep.tolist()
-    tiers = []
-    for j in sorted(wssd.tiers):
-        nodes = np.array([tup.nodes for tup in wssd.tiers[j]], dtype=np.intp).reshape(-1, j + 1)
-        tiers.append((forest.low[nodes].max(axis=1), forest.rep[nodes]))
+    tiers = [(forest.low[nodes].max(axis=1), forest.rep[nodes]) for nodes in wssd.tiers.values()]
 
     for alpha in grid:
         h = choose_h(epsilon, float(alpha), forest.root_level)
-        theta = (1.0 + epsilon / 2.0) * float(alpha)
+        theta = (1.0 + epsilon / 2.0) * float(alpha) * (1 + 1e-12)
         cell_rep = np.array([rep[vcell(forest, p, h)] for p in range(cloud.n)], dtype=np.intp)
-        vertex_map = dict(enumerate(cell_rep.tolist()))
 
-        simplices: set[tuple[int, ...]] = set()
-        for top, node_reps in tiers:
-            # one list per node position, not one list per tuple
-            for row in zip(*cell_rep[node_reps[top < h]].T.tolist()):
-                reps = set(row)
-                if len(reps) < 2:
-                    continue
-                key = tuple(sorted(reps))
-                if key not in rad_cache:
-                    rad_cache[key] = exact_meb(pts[list(key)]).radius
-                if rad_cache[key] <= theta * (1 + 1e-12):
-                    simplices.add(key)
+        rows = [np.sort(cell_rep[reps[top < h]], axis=1) for top, reps in tiers]
+        kept = [keys[_keep(pts, keys, theta, scale, large_radii)] for keys in _slice_keys(rows)]
         # close under faces so each slice is a simplicial complex
-        closure: set[tuple[int, ...]] = set()
-        for simplex in simplices:
-            for size in range(2, len(simplex)):
-                closure.update(combinations(simplex, size))
-        simplices |= closure
+        simplices: set[tuple[int, ...]] = set()
+        for keys in kept:
+            for size in range(2, keys.shape[1] + 1):
+                for cols in combinations(range(keys.shape[1]), size):
+                    simplices.update(map(tuple, keys[:, cols].tolist()))
         slices.append(
             FiltrationSlice(
-                alpha=float(alpha), h=h, vertex_map=vertex_map, simplices=simplices
+                alpha=float(alpha), h=h, vertex_map=dict(enumerate(cell_rep.tolist())),
+                simplices=simplices,
             )
         )
     return FiltrationOutput(slices=slices, epsilon=epsilon, t=float(t))
+
+
+def _slice_keys(rows: list[np.ndarray]) -> list[np.ndarray]:
+    """Distinct rep sets of at least 2 reps, one sorted (m, size) array per size.
+
+    Each input row holds one tuple's cell reps, sorted; repeated reps
+    collapse to one.
+    """
+    by_size: dict[int, list[np.ndarray]] = {}
+    for sorted_reps in rows:
+        first = np.ones(sorted_reps.shape, dtype=bool)
+        first[:, 1:] = sorted_reps[:, 1:] != sorted_reps[:, :-1]
+        distinct = first.sum(axis=1)
+        for size in np.unique(distinct[distinct >= 2]).tolist():
+            pick = distinct == size
+            by_size.setdefault(size, []).append(sorted_reps[pick][first[pick]].reshape(-1, size))
+    return [_unique_rows(np.concatenate(by_size[size])) for size in sorted(by_size)]
+
+
+def _unique_rows(keys: np.ndarray) -> np.ndarray:
+    """Distinct rows in lexicographic order; `np.unique(axis=0)` without its slow row sort."""
+    keys = keys[np.lexsort(keys.T[::-1])]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    return keys[first]
+
+
+def _keep(
+    pts: np.ndarray,
+    keys: np.ndarray,
+    theta: float,
+    scale: float,
+    large_radii: dict[tuple[int, ...], float],
+) -> np.ndarray:
+    """Which rep sets have exact enclosing radius at most theta.
+
+    Sets of 2 or 3 reps take the closed form `meb_radii`; a radius within
+    1e-8 of theta (relative, plus 1e-12 of the largest coordinate for
+    rounding far from the origin) is measured again by `exact_meb`, so the
+    decision is the one `exact_meb` gives. Larger sets (k >= 3 only) go to
+    `exact_meb` once each, remembered in `large_radii` across slices.
+    """
+    if keys.shape[1] > 3:
+        rows = list(map(tuple, keys.tolist()))
+        for key in rows:
+            if key not in large_radii:
+                large_radii[key] = exact_meb(pts[list(key)]).radius
+        radii = np.array([large_radii[key] for key in rows])
+    else:
+        radii = meb_radii(pts[keys])
+        near = np.flatnonzero(~(np.abs(radii - theta) > 1e-8 * theta + 1e-12 * scale))
+        radii[near] = [exact_meb(pts[keys[i]]).radius for i in near.tolist()]
+    return radii <= theta
 
 
 def build_cech_pipeline(
@@ -272,35 +320,48 @@ def write_filtration(path: str | Path, output: FiltrationOutput) -> None:
 
 
 def read_filtration(path: str | Path) -> FiltrationOutput:
+    """Inverse of `write_filtration`.
+
+    Rejects a header without epsilon or t, a slice line without alpha or h,
+    `vmap` lines that are not two ids, `simplex` lines whose dimension field
+    is not their vertex count minus one or below 1, vertices that are not
+    strictly ascending, and negative ids.
+    """
     text = Path(path).read_text().splitlines()
     if not text or not text[0].startswith("cechapprox v1 "):
         raise ValueError(f"{path}: not a cechapprox v1 file")
-    header = dict(tok.split("=", 1) for tok in text[0].split()[2:])
+    try:
+        header = dict(tok.split("=", 1) for tok in text[0].split()[2:])
+        epsilon, t = float(header["epsilon"]), float(header["t"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed header {text[0]!r}") from exc
     slices: list[FiltrationSlice] = []
     current: FiltrationSlice | None = None
     for line in text[1:]:
         if not line.strip():
             continue
-        toks = line.split()
-        if toks[0] == "slice":
-            fields = dict(tok.split("=", 1) for tok in toks[1:])
-            current = FiltrationSlice(
-                alpha=float(fields["alpha"]),
-                h=int(fields["h"]),
-                vertex_map={},
-                simplices=set(),
-            )
-            slices.append(current)
-        elif toks[0] == "vmap":
-            if current is None:
-                raise ValueError(f"{path}: vmap before any slice")
-            current.vertex_map[int(toks[1])] = int(toks[2])
-        elif toks[0] == "simplex":
-            if current is None:
-                raise ValueError(f"{path}: simplex before any slice")
-            current.simplices.add(tuple(int(v) for v in toks[2:]))
+        kind, *toks = line.split()
+        if kind != "slice" and current is None:
+            raise ValueError(f"{path}: {kind} before any slice")
+        try:
+            if kind == "slice":
+                fields = dict(tok.split("=", 1) for tok in toks)
+                current = FiltrationSlice(float(fields["alpha"]), int(fields["h"]), {}, set())
+                slices.append(current)
+                continue
+            ids = [int(v) for v in toks]
+        except (KeyError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed line {line!r}") from exc
+        if kind == "vmap" and len(ids) == 2 and min(ids) >= 0:
+            current.vertex_map[ids[0]] = ids[1]
+        elif (
+            kind == "simplex"
+            and len(ids) >= 3
+            and ids[0] == len(ids) - 2
+            and 0 <= ids[1]
+            and all(a < b for a, b in zip(ids[1:], ids[2:]))
+        ):
+            current.simplices.add(tuple(ids[1:]))
         else:
-            raise ValueError(f"{path}: unexpected line {line!r}")
-    return FiltrationOutput(
-        slices=slices, epsilon=float(header["epsilon"]), t=float(header["t"])
-    )
+            raise ValueError(f"{path}: malformed line {line!r}")
+    return FiltrationOutput(slices=slices, epsilon=epsilon, t=t)

@@ -4,7 +4,9 @@ The oracles in this module (`brute_near_neighbours`, `exact_meb`,
 `brute_restricted_doubling`) are deliberately simple, exhaustive
 implementations. They are the ground truth that the sublinear structures in
 the rest of the package are tested against, so they must stay independent of
-those structures.
+those structures. The production path sizes small point sets with
+`meb_radii`, a batched closed form, and asks `exact_meb` only where its
+answer sits within rounding of a decision threshold.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ __all__ = [
     "row_distances",
     "brute_near_neighbours",
     "exact_meb",
+    "meb_radii",
     "brute_restricted_doubling",
     "restricted_dim",
     "generate",
@@ -169,6 +172,39 @@ def exact_meb(points: np.ndarray) -> Ball:
                     best = (center, radius)
     assert best is not None, "a valid support set always exists"
     return Ball(best[0], best[1])
+
+
+def meb_radii(stack: np.ndarray) -> np.ndarray:
+    """Minimum enclosing radii of a (T, m, d) stack of 2- or 3-point sets.
+
+    Two points: half their distance. Three points: half the longest side
+    when some angle is right, obtuse or degenerate (a dot product at a
+    vertex <= 0); otherwise the circumradius c / (2 sin C), with C the
+    angle opposite the longest side c. That angle is the largest, so it
+    lies in [60, 90) degrees and sin C is computed without cancellation.
+    """
+    stack = np.asarray(stack, dtype=np.float64)
+    if stack.shape[1] == 2:
+        return row_distances(stack[:, 0], stack[:, 1]) / 2.0
+    if stack.shape[1] != 3:
+        raise ValueError("meb_radii takes sets of 2 or 3 points")
+    rows = np.arange(stack.shape[0])
+    a, b, c = stack[:, 0], stack[:, 1], stack[:, 2]
+    # side opposite each vertex, and the dot product of the sides at it
+    sides = np.sqrt(np.stack([_dot(b - c, b - c), _dot(c - a, c - a), _dot(a - b, a - b)], axis=1))
+    dots = np.stack([_dot(b - a, c - a), _dot(c - b, a - b), _dot(a - c, b - c)], axis=1)
+    apex = np.argmax(sides, axis=1)
+    half_longest = sides[rows, apex] / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_c = dots[rows, apex] / (sides[rows, (apex + 1) % 3] * sides[rows, (apex + 2) % 3])
+        circum = half_longest / np.sqrt(1.0 - cos_c * cos_c)
+    # fmax: a circumradius lost to underflow (NaN) falls back to half the
+    # longest side, which it exceeds only by rounding in those cases
+    return np.where((dots > 0).all(axis=1), np.fmax(circum, half_longest), half_longest)
+
+
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, y)
 
 
 def _min_cover(universe: frozenset[int], sets: list[frozenset[int]]) -> int:

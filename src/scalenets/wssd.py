@@ -9,9 +9,13 @@ at most t.
 Tier 1 is a (2t)-restricted pair decomposition at separation epsilon/2 (a
 1-simplex fits in a radius-t ball exactly when its endpoints are within
 2t), built on a forest at scale 2t. Higher tiers extend each tuple by the
-cells, at a level tied to the tuple's cached enclosing ball, that lie
+cells, at a level tied to the tuple's approximate enclosing ball, that lie
 within the region where a new simplex vertex could make the extended
 simplex still fit in a radius-t ball.
+
+Each tier is one (m, j+1) array of node ids. The balls are not kept: they
+are computed for a tier only when it is extended, and only the extension
+reads them.
 """
 
 from __future__ import annotations
@@ -24,12 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from .forest import COVER_COEF, TAU, NetForest, descend_to_level
-from .geometry import Ball, PointCloud, exact_meb, pairwise_distances
+from .geometry import Ball, PointCloud, exact_meb, pairwise_distances, row_distances
 from .wspd import gen_wspd
 
 __all__ = [
     "approx_meb",
-    "WsTuple",
     "Wssd",
     "WssdReport",
     "gen_wssd",
@@ -74,20 +77,11 @@ def approx_meb(points: np.ndarray, delta_meb: float = 0.05) -> Ball:
     return Ball(centers[0], float(radii[0]))
 
 
-@dataclass(frozen=True)
-class WsTuple:
-    """Ordered node tuple plus the enclosing ball of its representatives.
-
-    `meb` is None for tuples read back from a file, which stores no balls.
-    """
-
-    nodes: tuple[int, ...]
-    meb: Ball | None
-
-
 @dataclass
 class Wssd:
-    tiers: dict[int, list[WsTuple]]
+    """Tier j -> (m, j+1) intp array of node ids, rows in emission order."""
+
+    tiers: dict[int, np.ndarray]
     epsilon: float
     t: float
     k: int
@@ -112,11 +106,12 @@ def gen_wssd(
     """Tiered simplicial decomposition covering radius-<=t simplices.
 
     The forest must have been built at scale 2t. A tuple is extended only
-    if its cached ball still allows a witnessed simplex of radius at most
-    t; the new nodes are the cells at a level small enough to keep every
-    extension well-separated, gathered through the rel lists of an ancestor
-    (or through the roots within 7*(2t), from `NetForest.roots_within_7t`,
-    when the required ancestor level exceeds the root level).
+    if its approximate enclosing ball still allows a witnessed simplex of
+    radius at most t; the new nodes are the cells at a level small enough
+    to keep every extension well-separated, gathered through the rel lists
+    of an ancestor (or through the roots within 7*(2t), from
+    `NetForest.roots_within_7t`, when the required ancestor level exceeds
+    the root level).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0,1)")
@@ -128,21 +123,11 @@ def gen_wssd(
         )
     pts = cloud.points
     rep_of = forest.rep
-    parent, level, cover = forest.parent.tolist(), forest.level.tolist(), forest.cover.tolist()
+    parent, level = forest.parent.tolist(), forest.level.tolist()
     stats = {"skipped": 0, "capped": 0, "fallback_all_roots": 0}
 
-    def make_tier(node_tuples: list[tuple[int, ...]]) -> list[WsTuple]:
-        if not node_tuples:
-            return []
-        stack = pts[rep_of[np.array(node_tuples, dtype=np.intp)]]
-        centers, radii = _approx_meb_batch(stack, delta_meb)
-        return [
-            WsTuple(nodes=nodes, meb=Ball(centers[i], float(radii[i])))
-            for i, nodes in enumerate(node_tuples)
-        ]
-
     base = gen_wspd(forest, cloud, epsilon / 2.0, forest.t)
-    tiers: dict[int, list[WsTuple]] = {1: make_tier(list(map(tuple, base.pairs.tolist())))}
+    tiers: dict[int, np.ndarray] = {1: base.pairs}
 
     neighbours = forest.roots_within_7t(cloud)
     roots = forest.roots.tolist()
@@ -155,14 +140,27 @@ def gen_wssd(
         return descend_cache[key]
 
     for j in range(1, k):
+        tier = tiers[j]
+        stack = pts[rep_of[tier]]
+        maxcovs = forest.cover[tier].max(axis=1)
+        # Skip test r/(1+delta) - maxcov > t on the tuple's ball radius r.
+        # Half the widest rep pair bounds r from below (the ball holds both
+        # reps), and 1e-9 absorbs the rounding of both sides, so a tuple
+        # this bound skips is skipped by its ball too: no ball is computed.
+        widest = np.max([row_distances(stack[:, a], stack[:, b])
+                         for a, b in combinations(range(j + 1), 2)], axis=0)
+        live = np.flatnonzero(~(widest / 2.0 * (1 - 1e-9) / (1.0 + delta_meb) - maxcovs > t))
+        centers, radii = _approx_meb_batch(stack[live], delta_meb)
+        extend = ~(radii / (1.0 + delta_meb) - maxcovs[live] > t)
+        stats["skipped"] += len(tier) - int(np.count_nonzero(extend))
+        rows = tier.tolist()
         seen: set[tuple[int, ...]] = set()
         extended: list[tuple[int, ...]] = []
-        for tup in tiers[j]:
-            r = tup.meb.radius
-            maxcov = max(cover[v] for v in tup.nodes)
-            if r / (1.0 + delta_meb) - maxcov > t:
-                stats["skipped"] += 1
-                continue
+        for i, center, r, maxcov in zip(
+            live[extend].tolist(), centers[extend], radii[extend].tolist(),
+            maxcovs[live][extend].tolist(),
+        ):
+            nodes = tuple(rows[i])
             r_floor = r / ((1.0 + delta_meb) * (1.0 + epsilon))
             lam = _level_floor(epsilon * r_floor / (4.0 * 2.0 * COVER_COEF))
             cell_pad = COVER_COEF * float(TAU) ** lam
@@ -172,7 +170,7 @@ def gen_wssd(
             # the rel radius 14*tau^level must absorb two covering hops plus
             # the search reach, hence the 14 - 2*2.2 = 9.6 margin
             rel_margin = 14.0 - 2.0 * COVER_COEF
-            anchor = tup.nodes[0]
+            anchor = nodes[0]
             while parent[anchor] >= 0 and need > rel_margin * float(TAU) ** level[anchor]:
                 anchor = parent[anchor]
             if parent[anchor] >= 0:
@@ -195,13 +193,13 @@ def gen_wssd(
                         seen_cells.add(c)
                         cands.append(c)
             cand_arr = np.array(cands, dtype=np.intp)
-            d = np.linalg.norm(pts[rep_of[cand_arr]] - tup.meb.center, axis=1)
+            d = np.linalg.norm(pts[rep_of[cand_arr]] - center, axis=1)
             for c in cand_arr[d <= r_search * (1 + 1e-12)].tolist():
-                nodes = tup.nodes + (c,)
-                if nodes not in seen:
-                    seen.add(nodes)
-                    extended.append(nodes)
-        tiers[j + 1] = make_tier(extended)
+                extension = nodes + (c,)
+                if extension not in seen:
+                    seen.add(extension)
+                    extended.append(extension)
+        tiers[j + 1] = np.array(extended, dtype=np.intp).reshape(-1, j + 2)
 
     return Wssd(tiers=tiers, epsilon=epsilon, t=float(t), k=k, stats=stats)
 
@@ -263,8 +261,8 @@ def verify_wssd(
 
     coverage: list[tuple[int, ...]] = []
     for j in range(1, k + 1):
-        tuples = wssd.tiers.get(j, [])
-        masks = [[node_mask[v] for v in tup.nodes] for tup in tuples]
+        tuples = wssd.tiers.get(j, np.empty((0, j + 1), dtype=np.intp)).tolist()
+        masks = [[node_mask[v] for v in nodes] for nodes in tuples]
         # union masks as uint64 (n <= 62 fits)
         unions = np.array([_union_mask(ms) for ms in masks], dtype=np.uint64)
         for vertices in combinations(range(cloud.n), j + 1):
@@ -277,8 +275,8 @@ def verify_wssd(
 
     separation: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     for j, tuples in sorted(wssd.tiers.items()):
-        for tup in tuples:
-            sets = [forest.points(v) for v in tup.nodes]
+        for nodes in map(tuple, tuples.tolist()):
+            sets = [forest.points(v) for v in nodes]
             union = np.unique(np.concatenate(sets))
             diam = 0.0
             for s in sets:
@@ -297,7 +295,7 @@ def verify_wssd(
                 ball = exact_meb(pts[list(transversal)])
                 d = np.linalg.norm(pts[union] - ball.center, axis=1)
                 if float(d.max()) > (1.0 + epsilon) * ball.radius * (1 + rtol):
-                    separation.append((tup.nodes, transversal))
+                    separation.append((nodes, transversal))
                     break
 
     return WssdReport(coverage_violations=coverage, separation_violations=separation)
@@ -315,32 +313,45 @@ def write_wssd(path: str | Path, wssd: Wssd) -> None:
         "wssd v1 epsilon=%.17g k=%d t=%.17g" % (wssd.epsilon, wssd.k, wssd.t)
     ]
     for j in sorted(wssd.tiers):
-        for tup in wssd.tiers[j]:
-            lines.append("tuple %d %s" % (j, " ".join(str(v) for v in tup.nodes)))
+        for nodes in wssd.tiers[j].tolist():
+            lines.append("tuple %d %s" % (j, " ".join(map(str, nodes))))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_wssd(path: str | Path) -> Wssd:
-    """Parse tuples back; the file stores no balls, so every `meb` is None."""
+    """Inverse of `write_wssd`; a tier with no tuple line is absent.
+
+    Rejects a header without epsilon, t or a k >= 1, and tuple lines that
+    are malformed, sit in a tier outside 1..k, hold other than j+1 node ids
+    for tier j, or hold a negative id.
+    """
     text = Path(path).read_text().splitlines()
     if not text or not text[0].startswith("wssd v1 "):
         raise ValueError(f"{path}: not a wssd v1 file")
-    header = dict(tok.split("=", 1) for tok in text[0].split()[2:])
-    tiers: dict[int, list[WsTuple]] = {}
+    try:
+        header = dict(tok.split("=", 1) for tok in text[0].split()[2:])
+        epsilon, k, t = float(header["epsilon"]), int(header["k"]), float(header["t"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed header {text[0]!r}") from exc
+    if k < 1:
+        raise ValueError(f"{path}: k={k} must be >= 1")
+    rows: dict[int, list[list[int]]] = {}
     for line in text[1:]:
         if not line.strip():
             continue
         toks = line.split()
-        if toks[0] != "tuple":
-            raise ValueError(f"{path}: unexpected line {line!r}")
-        j = int(toks[1])
-        nodes = tuple(int(x) for x in toks[2:])
+        if toks[0] != "tuple" or len(toks) < 2:
+            raise ValueError(f"{path}: malformed line {line!r}")
+        try:
+            j, nodes = int(toks[1]), [int(x) for x in toks[2:]]
+        except ValueError as exc:
+            raise ValueError(f"{path}: malformed line {line!r}") from exc
+        if not 1 <= j <= k:
+            raise ValueError(f"{path}: tier {j} outside 1..k={k}")
         if len(nodes) != j + 1:
             raise ValueError(f"{path}: tier {j} tuple with {len(nodes)} nodes")
-        tiers.setdefault(j, []).append(WsTuple(nodes=nodes, meb=None))
-    return Wssd(
-        tiers=tiers,
-        epsilon=float(header["epsilon"]),
-        t=float(header["t"]),
-        k=int(header["k"]),
-    )
+        if min(nodes) < 0:
+            raise ValueError(f"{path}: negative node id in {line!r}")
+        rows.setdefault(j, []).append(nodes)
+    tiers = {j: np.array(r, dtype=np.intp).reshape(-1, j + 1) for j, r in rows.items()}
+    return Wssd(tiers=tiers, epsilon=epsilon, t=t, k=k)

@@ -37,6 +37,15 @@ def structural_corpora(n: int = 150) -> list[tuple[str, PointCloud, float]]:
     return out
 
 
+# (name, cloud, t) forests of 3 to 5 levels, unlike the corpora above, whose
+# forests have a root level and a leaf level only
+DEEP_CLOUDS = [
+    ("line", PointCloud(np.geomspace(1e-3, 10, 40)[:, None]), 20.0),
+    ("uniform-one-root", generate("uniform", n=150, d=2, seed=4), 2.0),
+    ("clustered-one-root", generate("clustered", n=150, d=3, seed=4, clusters=5), 30.0),
+]
+
+
 @pytest.fixture(scope="session")
 def corpora():
     return structural_corpora()

@@ -1,8 +1,10 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import scalenets.cech as cech_mod
 from scalenets.cech import (
     build_cech_pipeline,
     build_filtration,
@@ -12,11 +14,11 @@ from scalenets.cech import (
     verify_sandwich,
     write_filtration,
 )
-from scalenets.forest import COVER_COEF, TAU, build_forest, root_level
-from scalenets.geometry import PointCloud, generate, pairwise_distances
+from scalenets.forest import COVER_COEF, TAU, build_forest, root_level, vcell
+from scalenets.geometry import PointCloud, exact_meb, generate, meb_radii, pairwise_distances
 from scalenets.wssd import gen_wssd
 
-from conftest import quantile_scale
+from conftest import DEEP_CLOUDS, quantile_scale, structural_corpora
 
 
 def test_choose_h_is_maximal_below_root():
@@ -176,3 +178,193 @@ def test_filtration_roundtrip_and_determinism(tmp_path):
     back = read_filtration(tmp_path / "run0.txt")
     write_filtration(tmp_path / "back.txt", back)
     assert (tmp_path / "back.txt").read_text() == paths[0]
+
+
+# --- the batched slices against the scalar loop they replaced ---------------
+
+
+def reference_keys(forest, cloud, wssd, h):
+    """Sorted rep sets of at least 2 reps from the tuples below level h, one tuple at a time."""
+    cell = [int(forest.rep[vcell(forest, p, h)]) for p in range(cloud.n)]
+    keys = set()
+    for nodes in wssd.tiers.values():
+        for row in nodes.tolist():
+            if max(forest.low[v] for v in row) < h:
+                key = tuple(sorted({cell[int(forest.rep[v])] for v in row}))
+                if len(key) >= 2:
+                    keys.add(key)
+    return cell, keys
+
+
+def reference_slices(forest, cloud, wssd, epsilon, grid):
+    """The scalar slice loop `build_filtration` replaced: `exact_meb` on every rep set."""
+    radius = {}
+    out = []
+    for alpha in grid:
+        h = choose_h(epsilon, float(alpha), forest.root_level)
+        theta = (1.0 + epsilon / 2.0) * float(alpha)
+        cell, keys = reference_keys(forest, cloud, wssd, h)
+        simplices = set()
+        for key in keys:
+            if key not in radius:
+                radius[key] = exact_meb(cloud.points[list(key)]).radius
+            if radius[key] <= theta * (1 + 1e-12):
+                simplices.add(key)
+        for simplex in list(simplices):
+            for size in range(2, len(simplex)):
+                simplices.update(combinations(simplex, size))
+        out.append((float(alpha), h, dict(enumerate(cell)), simplices))
+    return out
+
+
+def assert_slices_match_reference(cloud, t, k, label, epsilon=0.5, grid=None):
+    forest = build_forest(cloud, 2 * t, nn="exact")
+    wssd = gen_wssd(forest, cloud, epsilon / 42, k, t)
+    if grid is None:
+        grid = np.geomspace(0.15 * t, t, 4)
+    out = build_filtration(forest, cloud, wssd, epsilon, t, grid)
+    got = [(sl.alpha, sl.h, sl.vertex_map, sl.simplices) for sl in out.slices]
+    assert got == reference_slices(forest, cloud, wssd, epsilon, grid), label
+
+
+def collinear_cloud(n, spacing=0.1, d=3):
+    """Evenly spaced points on a line in a direction with inexact coordinates."""
+    direction = np.random.default_rng(3).standard_normal(d)
+    return PointCloud(spacing * np.arange(n)[:, None] * (direction / np.linalg.norm(direction)))
+
+
+def degenerate_clouds(n):
+    base = generate("uniform", n=n, d=2, seed=8).points
+    side = int(math.isqrt(n))
+    return [
+        ("duplicates", PointCloud(np.vstack([base, base[: n // 3]]))),
+        ("collinear", collinear_cloud(n)),
+        ("lattice", PointCloud(0.1 * np.indices((side, side)).reshape(2, -1).T.astype(float))),
+        ("d=1", PointCloud(np.random.default_rng(5).uniform(0.0, 1.0, size=(n, 1)))),
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_slices_match_reference_on_corpora(k):
+    # the structural generators at n=30: at n=150 the tier-2 tuples number
+    # up to 1.3 million and the reference loop takes minutes per corpus
+    for name, cloud, t in structural_corpora(30):
+        assert_slices_match_reference(cloud, t, k, f"{name} k={k}")
+
+
+def test_slices_match_reference_on_deep_clouds():
+    # the decomposition lives on a forest at 2t, so t is half the forest scale
+    for name, cloud, t in DEEP_CLOUDS:
+        assert_slices_match_reference(cloud, t / 2, 1, f"{name} k=1")
+    name, cloud, t = DEEP_CLOUDS[0]
+    assert_slices_match_reference(cloud, t / 2, 2, f"{name} k=2")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_slices_match_reference_on_degenerate_clouds(k):
+    for name, cloud in degenerate_clouds(12 if k == 3 else 25):
+        t = quantile_scale(cloud, 0.3)
+        for eps in (0.25, 1.0):
+            assert_slices_match_reference(cloud, t, k, f"{name} k={k} eps={eps}", epsilon=eps)
+    # one structural corpus, for 4-point sets off any line or lattice
+    name, cloud, t = structural_corpora(30)[-1]
+    assert_slices_match_reference(cloud, t, k, f"{name} k={k}")
+
+
+def threshold_grid(forest, cloud, wssd, epsilon, t, per_scale=3):
+    """Scales whose threshold theta*(1+1e-12) equals, bit for bit, a radius.
+
+    For rep sets whose closed-form and `exact_meb` radii differ, one scale
+    puts the threshold on the smaller radius, so the two solvers decide
+    apart, and one puts it on the `exact_meb` radius, which only the
+    inclusive test keeps.
+    """
+    pts = cloud.points
+    grid, split, on_oracle = set(), 0, 0
+    for alpha in np.geomspace(0.15 * t, t, 6):
+        h = choose_h(epsilon, float(alpha), forest.root_level)
+        found = 0
+        for key in sorted(reference_keys(forest, cloud, wssd, h)[1]):
+            closed = float(meb_radii(pts[np.array([key])])[0])
+            oracle = exact_meb(pts[list(key)]).radius
+            if closed == oracle or found == per_scale:
+                continue
+            found += 1
+            for target in (min(closed, oracle), oracle):
+                a = target / ((1.0 + epsilon / 2.0) * (1 + 1e-12))
+                for _ in range(8):
+                    got = (1.0 + epsilon / 2.0) * a * (1 + 1e-12)
+                    if got == target:
+                        break
+                    a = float(np.nextafter(a, np.inf if got < target else -np.inf))
+                if got == target and a <= t and choose_h(epsilon, a, forest.root_level) == h:
+                    grid.add(a)
+                    split += target < max(closed, oracle)
+                    on_oracle += target == oracle
+    return np.array(sorted(grid)), split, on_oracle
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e9])
+def test_band_decides_radii_on_the_threshold(monkeypatch, shift):
+    # at these scales the closed form and exact_meb fall on opposite sides
+    # of the threshold, or exact_meb lands on it: only the band re-decision
+    # with the inclusive test keeps the slices equal to the reference. Far
+    # from the origin, exact_meb's center rounds to 1e-7 of the radii, past
+    # the relative band; the band's coordinate-scale term covers that.
+    cloud = PointCloud(collinear_cloud(20).points + shift)
+    t, epsilon = quantile_scale(cloud, 0.3), 0.5
+    forest = build_forest(cloud, 2 * t, nn="exact")
+    wssd = gen_wssd(forest, cloud, epsilon / 42, 2, t)
+    grid, split, on_oracle = threshold_grid(forest, cloud, wssd, epsilon, t)
+    assert split >= 3 and on_oracle >= 3, (split, on_oracle)
+
+    calls = []
+    monkeypatch.setattr(cech_mod, "exact_meb", lambda p: calls.append(1) or exact_meb(p))
+    out = build_filtration(forest, cloud, wssd, epsilon, t, grid)
+    monkeypatch.undo()
+    assert len(calls) >= len(grid)
+    got = [(sl.alpha, sl.h, sl.vertex_map, sl.simplices) for sl in out.slices]
+    assert got == reference_slices(forest, cloud, wssd, epsilon, grid)
+
+
+# --- loader rejections --------------------------------------------------------
+
+
+GOOD_FILTRATION = [
+    "cechapprox v1 epsilon=0.5 t=1",
+    "slice alpha=0.5 h=-2",
+    "vmap 0 0",
+    "vmap 1 0",
+    "vmap 2 2",
+    "simplex 1 0 2",
+]
+
+
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        (5, "simplex 1 0"),            # dimension 1 with one vertex
+        (5, "simplex 2 0 1"),          # dimension 2 with two vertices
+        (5, "simplex 0 2"),            # a vertex is no simplex of a slice
+        (5, "simplex 1 2 0"),          # vertices not ascending
+        (5, "simplex 1 2 2"),          # repeated vertex
+        (5, "simplex 1 -1 2"),         # negative id
+        (4, "vmap 3"),                 # no rep
+        (4, "vmap 2 2 2"),             # one id too many
+        (4, "vmap x 2"),               # not an id
+        (0, "cechapprox v1 t=1"),      # header without epsilon
+        (0, "cechapprox v1 epsilon=0.5"),  # header without t
+        (1, "slice h=-2"),             # slice without alpha
+        (1, "slice alpha=0.5"),        # slice without h
+        (1, "slice alpha=0.5 h"),      # field without a value
+    ],
+)
+def test_read_filtration_rejects_malformed(tmp_path, line, bad):
+    lines = list(GOOD_FILTRATION)
+    path = tmp_path / "good.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert read_filtration(path).slices[0].simplices == {(0, 2)}
+    lines[line] = bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        read_filtration(path)

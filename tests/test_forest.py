@@ -25,7 +25,7 @@ from scalenets.forest import (
 )
 from scalenets.geometry import ExactNearNeighbours, PointCloud, generate, pairwise_distances
 
-from conftest import quantile_scale
+from conftest import DEEP_CLOUDS, quantile_scale
 
 
 def test_root_level_examples():
@@ -321,13 +321,6 @@ def check_vcell(forest, cloud):
                 assert h <= forest.level[forest.parent[node]]
     with pytest.raises(ValueError):
         vcell(forest, 0, forest.root_level)
-
-
-DEEP_CLOUDS = [
-    ("line", PointCloud(np.geomspace(1e-3, 10, 40)[:, None]), 20.0),
-    ("uniform-one-root", generate("uniform", n=150, d=2, seed=4), 2.0),
-    ("clustered-one-root", generate("clustered", n=150, d=3, seed=4, clusters=5), 30.0),
-]
 
 
 def walk_cells(forest, node, level):

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from scalenets.geometry import (
     distance,
     exact_meb,
     generate,
+    meb_radii,
     pairwise_distances,
     read_points,
     restricted_dim,
@@ -113,6 +115,96 @@ def test_meb_contains_and_bounded_by_max_pair():
             diffs = pts[:, None, :] - pts[None, :, :]
             maxpair = float(np.sqrt((diffs**2).sum(-1)).max())
             assert ball.radius <= maxpair * (1 + 1e-9)
+
+
+# --- closed-form radii of 2- and 3-point sets --------------------------------
+
+
+def assert_radii_match_oracle(stack, label=""):
+    """Closed-form radii equal `exact_meb`'s within 1e-9 relative, plus 1e-12
+    of the largest coordinate for rounding far from the origin."""
+    stack = np.asarray(stack, dtype=np.float64)
+    closed = meb_radii(stack)
+    assert closed.shape == (len(stack),)
+    for pts, got in zip(stack, closed):
+        want = exact_meb(pts).radius
+        slack = 1e-9 * want + 1e-12 * float(np.abs(pts).max())
+        assert abs(got - want) <= slack, (label, pts.tolist(), got, want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])
+@pytest.mark.parametrize("m", [2, 3])
+def test_meb_radii_random_sets(m, d):
+    rng = np.random.default_rng(10 * m + d)
+    assert_radii_match_oracle(rng.standard_normal((300, m, d)), "normal")
+    assert_radii_match_oracle(rng.uniform(-1e3, 1e3, (100, m, d)), "wide")
+
+
+def test_meb_radii_degenerate_sets():
+    rng = np.random.default_rng(4)
+    direction = rng.standard_normal(3)
+    collinear = rng.uniform(-2, 2, (200, 3, 1)) * direction
+    spaced = np.arange(3)[:, None] * direction + rng.standard_normal((50, 1, 3))
+    p = rng.standard_normal((50, 1, 3))
+    q = rng.standard_normal((50, 1, 3))
+    duplicates = np.concatenate([p, p, q], axis=1)
+    # q and a copy of q moved by far less than the rounding of |p - q|: the
+    # two long sides tie, and the angle at q is not the largest one
+    nudged = np.concatenate([p, q, q + np.array([0.0, 0.0, 1e-17])], axis=1)
+    underflow = np.concatenate([p, q, q + np.array([0.0, 0.0, 5e-168])], axis=1)
+    lattice = np.indices((4, 4)).reshape(2, -1).T.astype(float)
+    triples = np.array([lattice[list(c)] for c in combinations(range(16), 3)])
+    pairs = np.array([lattice[list(c)] for c in combinations(range(16), 2)])
+    for label, stack in [
+        ("collinear", collinear),
+        ("evenly spaced", spaced),
+        ("duplicate pair", duplicates),
+        ("nudged duplicate", nudged),
+        ("underflowing duplicate", underflow),
+        ("all equal", np.repeat(p, 3, axis=1)),
+        ("equal pair", np.repeat(p, 2, axis=1)),
+        ("lattice triples", triples),
+        ("lattice pairs", pairs),
+    ]:
+        assert_radii_match_oracle(stack, label)
+    assert np.all(meb_radii(np.repeat(p, 3, axis=1)) == 0.0)
+
+
+def test_meb_radii_right_and_near_right_triangles():
+    # right angle at the origin: the hypotenuse is a diameter
+    right = np.array([[[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]], [[1.0, 1.0], [2.0, 2.0], [3.0, 1.0]]])
+    assert meb_radii(right).tolist() == [2.5, 1.0]
+    assert_radii_match_oracle(right, "right")
+    # the apex moves through the right angle: acute above, obtuse below
+    near = []
+    for offset in (-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6):
+        for a in (0.2, 0.5, 0.9):
+            y = math.sqrt(a * (1 - a)) + offset  # on the unit-diameter circle at offset 0
+            near.append([[0.0, 0.0], [1.0, 0.0], [a, y]])
+    assert_radii_match_oracle(near, "near right")
+    rotation = np.linalg.qr(np.random.default_rng(2).standard_normal((5, 5)))[0]
+    embedded = np.concatenate([np.array(near), np.zeros((len(near), 3, 3))], axis=2) @ rotation.T
+    assert_radii_match_oracle(embedded, "near right in R^5")
+
+
+def test_meb_radii_rejects_other_sizes():
+    with pytest.raises(ValueError):
+        meb_radii(np.zeros((2, 4, 3)))
+
+
+small_sets = st.integers(1, 4).flatmap(
+    lambda d: st.lists(
+        st.lists(st.floats(-1e3, 1e3, allow_nan=False), min_size=d, max_size=d),
+        min_size=2,
+        max_size=3,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_sets)
+def test_meb_radii_property(points):
+    assert_radii_match_oracle([points])
 
 
 # --- scale-restricted doubling oracle --------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from scalenets.forest import build_forest
 from scalenets.geometry import PointCloud, exact_meb, generate
 from scalenets.wssd import (
-    WsTuple,
     Wssd,
     approx_meb,
     gen_wssd,
@@ -75,8 +74,8 @@ def test_two_points_high_k_degenerate_cover():
     # the only pair has enclosing radius 1/2 <= t; some 4-node tuple must admit
     # both points in distinct positions (repeated nodes allowed)
     masks = []
-    for tup in wssd.tiers[3]:
-        sets = [set(forest.points(v).tolist()) for v in tup.nodes]
+    for nodes in wssd.tiers[3].tolist():
+        sets = [set(forest.points(v).tolist()) for v in nodes]
         masks.append(sets)
     def covers_multiset(sets):
         # assign two positions to point 0 and two to point 1
@@ -127,7 +126,7 @@ def test_tier1_matches_wspd_coverage_at_doubled_scale():
     t = quantile_scale(cloud, 0.2)
     forest = build2t(cloud, t)
     wssd = gen_wssd(forest, cloud, 0.5, 1, t)
-    pairs = np.sort(np.array([w.nodes for w in wssd.tiers[1]]).reshape(-1, 2), axis=1)
+    pairs = np.sort(wssd.tiers[1], axis=1)
     as_wspd = Wspd(pairs=np.unique(pairs, axis=0), epsilon=0.25, t=2 * t)
     assert verify_wspd(cloud, forest, as_wspd, 0.25, 2 * t).ok
     assert verify_wssd(cloud, forest, wssd, 0.5, 1, t).ok
@@ -149,12 +148,9 @@ def test_fabricated_separation_violation_detected():
     }
     assert frozenset({0, 1}) in pair_nodes and frozenset({2, 3}) in pair_nodes
     leaf_far = int(forest.leaf_of[4])
-    fake = WsTuple(
-        nodes=(pair_nodes[frozenset({0, 1})], pair_nodes[frozenset({2, 3})], leaf_far),
-        meb=approx_meb(cloud.points),
-    )
+    fake = [pair_nodes[frozenset({0, 1})], pair_nodes[frozenset({2, 3})], leaf_far]
     broken = Wssd(
-        tiers={1: wssd.tiers[1], 2: wssd.tiers[2] + [fake]},
+        tiers={1: wssd.tiers[1], 2: np.vstack([wssd.tiers[2], [fake]])},
         epsilon=wssd.epsilon,
         t=wssd.t,
         k=2,
@@ -215,10 +211,10 @@ def test_wssd_file_roundtrip(tmp_path):
     write_wssd(path, wssd)
     back = read_wssd(path)
     assert back.k == 2 and back.epsilon == 0.5 and back.t == t
+    assert sorted(back.tiers) == sorted(wssd.tiers) == [1, 2]
     for j in wssd.tiers:
-        assert [w.nodes for w in back.tiers.get(j, [])] == [w.nodes for w in wssd.tiers[j]]
-        # the file stores no balls, so read tuples carry none
-        assert all(w.meb is None for w in back.tiers.get(j, []))
+        assert back.tiers[j].dtype == np.intp
+        assert np.array_equal(back.tiers[j], wssd.tiers[j])
     write_wssd(tmp_path / "again.wssd", back)
     assert (tmp_path / "again.wssd").read_text() == path.read_text()
 
@@ -227,3 +223,33 @@ def test_verify_size_gate():
     cloud = generate("uniform", n=70, d=2, seed=1)
     with pytest.raises(ValueError):
         verify_wssd(cloud, None, Wssd({}, 0.5, 1.0, 2), 0.5, 2, 1.0)
+
+
+GOOD_WSSD = ["wssd v1 epsilon=0.5 k=2 t=1", "tuple 1 0 1", "tuple 2 0 1 2"]
+
+
+@pytest.mark.parametrize(
+    "line, bad",
+    [
+        (1, "tuple"),                   # no tier, no nodes
+        (0, "wssd v1 epsilon=0.5 t=1"),  # header without k
+        (0, "wssd v1 k=2 t=1"),          # header without epsilon
+        (0, "wssd v1 epsilon=0.5 k=2 t"),  # field without a value
+        (0, "wssd v1 epsilon=0.5 k=0 t=1"),  # no tiers
+        (1, "tuple 1 0 -3"),            # negative node id
+        (2, "tuple 5 0 1 2 3 4 5"),     # tier above k
+        (1, "tuple 0 4"),               # tier below 1
+        (1, "tuple 1 0 1 2"),           # three nodes in tier 1
+        (1, "tuple 1 0 x"),             # not an id
+        (1, "pair 0 1"),                # not a tuple line
+    ],
+)
+def test_read_wssd_rejects_malformed(tmp_path, line, bad):
+    lines = list(GOOD_WSSD)
+    path = tmp_path / "good.wssd"
+    path.write_text("\n".join(lines) + "\n")
+    assert read_wssd(path).tiers[2].tolist() == [[0, 1, 2]]
+    lines[line] = bad
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError):
+        read_wssd(path)
