@@ -1,15 +1,13 @@
-"""Command-line surface: data generation, pipelines, verification, benchmarks.
+"""Command-line surface: data generation, pipelines, verification.
 
 Exit codes: 0 success, 1 validation or verification failure, 2 usage error.
-Every command is deterministic given --seed, except the wall-clock timing
-columns of `bench`.
+Every command is deterministic given --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +16,6 @@ from . import cech as _cech
 from . import dimension as _dimension
 from . import forest as _forest
 from . import geometry as _geometry
-from . import lsh as _lsh
 from . import wspd as _wspd
 from . import wssd as _wssd
 
@@ -182,41 +179,6 @@ def cmd_dim_estimate(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    ns = [int(tok) for tok in args.n_list.split(",")]
-    rhos = [float(tok) for tok in args.rho_list.split(",")]
-    rows = ["n\trho\tbuild_seconds\tmean_query_seconds\tmean_candidates\trecall"]
-    for n in ns:
-        for rho in rhos:
-            cloud = _geometry.generate(args.kind, n=n, d=args.d, seed=args.seed)
-            dists = _geometry.pairwise_distances(cloud)
-            r = float(np.quantile(dists[dists > 0], args.radius_quantile))
-            params = _lsh.derive_params(n, r, rho, args.delta)
-            t0 = time.perf_counter()
-            index = _lsh.LshIndex(cloud.points, params, args.seed)
-            build_s = time.perf_counter() - t0
-            hits = trues = 0
-            scanned = 0
-            t0 = time.perf_counter()
-            for q in range(n):
-                report = index.query(q, r)
-                scanned += report.candidates_scanned
-                want = np.flatnonzero(dists[q] <= r)
-                trues += want.size
-                hits += len(report.neighbours.intersection(want.tolist()))
-            query_s = (time.perf_counter() - t0) / n
-            rows.append(
-                "%d\t%.3g\t%.6f\t%.6f\t%.17g\t%.17g"
-                % (n, rho, build_s, query_s, scanned / n, hits / trues)
-            )
-    text = "\n".join(rows) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        print(text, end="")
-    return 0
-
-
 def _add_common(parser: argparse.ArgumentParser, *, seed_required: bool = True) -> None:
     parser.add_argument("--seed", type=int, required=seed_required, help="64-bit seed")
     parser.add_argument("--rho", type=float, default=0.5, help="LSH exponent in (0,1)")
@@ -297,16 +259,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, default=None)
     _add_common(p, seed_required=False)
     p.set_defaults(func=cmd_dim_estimate)
-
-    p = sub.add_parser("bench", help="LSH build/query/recall sweep (TSV)")
-    p.add_argument("--kind", default="uniform", choices=sorted(_geometry._GENERATORS))
-    p.add_argument("--d", type=int, default=8)
-    p.add_argument("--n-list", required=True, help="comma-separated sizes")
-    p.add_argument("--rho-list", required=True, help="comma-separated exponents")
-    p.add_argument("--radius-quantile", type=float, default=0.01)
-    p.add_argument("--output", default=None)
-    _add_common(p)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -25,6 +25,10 @@ __all__ = [
     "select_width",
 ]
 
+# array rows per step of LshIndex.all_near_pairs: positions walked, pair
+# codes sorted, coordinates of pairs measured
+_BLOCK = 1 << 16
+
 
 def collision_probability(c: float, w: float) -> float:
     """Probability that two points at distance c share one base hash bucket.
@@ -138,9 +142,16 @@ class LshIndex:
     """l hash tables of k-fold concatenated 2-stable hashes over a point set.
 
     Bucket keys are the full k-tuples of integer hash values (grouped by
-    exact row equality), so table compression introduces no false positives.
+    exact equality), so table compression introduces no false positives.
     Immutable after construction; rebuilding with the same seed reproduces
     identical tables.
+
+    Layout: each table projects and floors the points into one reused,
+    contiguous (k, n) key array, and `_rank_columns` groups the keys. Bucket
+    ids run on across tables: `_gids[i, p]` is the bucket of point p in
+    table i, and bucket b lists its points in ascending order as
+    `_order[_starts[b] : _starts[b + 1]]`. Build transients are one table's
+    (k, n) or n-long arrays.
     """
 
     def __init__(self, points: np.ndarray, params: LshParams, seed: int):
@@ -159,29 +170,24 @@ class LshIndex:
         self._dirs = rng.standard_normal((params.l, params.k, d))
         self._offs = rng.uniform(0.0, params.w, size=(params.l, params.k))
 
-        # bucket ids run on across tables; bucket b lists its points in
-        # ascending order as self._order[self._starts[b] : self._starts[b + 1]]
         self._gids = np.empty((params.l, n), dtype=np.intp)
         self._order = np.empty(params.l * n, dtype=np.intp)
         starts: list[np.ndarray] = []
         buckets = 0
+        proj = np.empty((params.k, n))
+        keys = np.empty((params.k, n), dtype=np.int64)
         for i in range(params.l):
-            keys = np.floor(
-                (points @ self._dirs[i].T + self._offs[i]) / params.w
-            ).astype(np.int64)
-            keys -= keys.min(axis=0)
-            span = keys.max(axis=0) + 1
-            if np.prod(span, dtype=np.float64) < 2.0**62:
-                # one mixed-radix code per row, column 0 most significant:
-                # the same grouping and order from a single sort key
-                keys = (keys @ np.append(np.cumprod(span[::-1])[::-1][1:], 1))[:, None]
-            # lexsort ranks rows lexicographically, column 0 first; it is
-            # stable, so each bucket lists its points in ascending order
-            order = np.lexsort(keys.T[::-1])
-            ranked = keys[order]
-            first = np.ones(n, dtype=bool)
-            first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-            self._gids[i, order] = np.cumsum(first) - 1 + buckets
+            np.matmul(self._dirs[i], points.T, out=proj)
+            proj += self._offs[i][:, None]
+            proj /= params.w
+            np.floor(proj, out=proj)
+            np.copyto(keys, proj, casting="unsafe")
+            lo, hi = keys.min(axis=1), keys.max(axis=1)
+            keys -= lo[:, None]
+            # Python ints: exact however wide the hashes are
+            span = [b - a + 1 for a, b in zip(lo.tolist(), hi.tolist())]
+            order, first = _rank_columns(keys, span)
+            self._gids[i][order] = np.cumsum(first) + (buckets - 1)
             self._order[i * n : (i + 1) * n] = order
             starts.append(np.flatnonzero(first) + i * n)
             buckets += starts[-1].size
@@ -202,7 +208,7 @@ class LshIndex:
         scanned = int(sizes.sum())
         # positions of the members of q's bucket in every table, in one array
         pos = np.arange(scanned) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
-        cands = np.unique(self._order[pos])
+        cands = _distinct(np.sort(self._order[pos]))
         d = np.linalg.norm(self.points[cands] - self.points[q], axis=1)
         hits = cands[d <= r]
         return QueryReport(neighbours=frozenset(int(i) for i in hits), candidates_scanned=scanned)
@@ -225,22 +231,88 @@ class LshIndex:
         """All pairs (i < j) that collide somewhere and are within r1.
 
         Same output as calling the index on every indexed point, gathered
-        symmetrically; used when every point is queried anyway.
+        symmetrically, in lexicographic order. Blocks of pair codes are
+        merged into one sorted array of distinct codes, so memory is bounded
+        by `_BLOCK` plus the number of distinct colliding pairs.
         """
         n = self.n
-        adjacency = np.zeros(n * n, dtype=bool)
-        for b in range(self._starts.size - 1):
-            members = self._order[self._starts[b] : self._starts[b + 1]]
-            if members.size < 2:
-                continue
-            flat = (members[:, None] * n + members[None, :]).ravel()
-            adjacency[flat] = True
-        idx = np.flatnonzero(adjacency)
-        ii, jj = idx // n, idx % n
-        keep = ii < jj
-        ii, jj = ii[keep], jj[keep]
-        d = np.linalg.norm(self.points[ii] - self.points[jj], axis=1)
-        keep = d <= self.params.r1
-        out = np.stack([ii[keep], jj[keep]], axis=1)
-        order = np.lexsort((out[:, 1], out[:, 0]))
-        return out[order]
+        codes = np.empty(0, dtype=np.int64)
+        for block in self._pair_blocks():
+            block.sort()
+            merged = np.concatenate((codes, _distinct(block)))
+            # two sorted runs: the stable sort merges them in one pass
+            merged.sort(kind="stable")
+            codes = _distinct(merged)
+        ii, jj = np.divmod(codes, n)
+        keep = np.empty(codes.size, dtype=bool)
+        step = max(1, _BLOCK // self.points.shape[1])  # _BLOCK coordinates
+        for s in range(0, codes.size, step):
+            gap = self.points[ii[s : s + step]] - self.points[jj[s : s + step]]
+            keep[s : s + step] = np.linalg.norm(gap, axis=1) <= self.params.r1
+        return np.stack([ii[keep], jj[keep]], axis=1)
+
+    def _pair_blocks(self):
+        """Codes i * n + j (i < j) of every bucket's member pairs, in arrays
+        of at most `_BLOCK`; each position pairs with those after it in its
+        bucket, walked `_BLOCK` positions at a time."""
+        n, total = self.n, self._order.size
+        for p0 in range(0, total, _BLOCK):
+            pos = np.arange(p0, min(p0 + _BLOCK, total))
+            members = self._order[pos]
+            after = self._starts[self._gids[pos // n, members] + 1] - 1 - pos
+            ends = np.cumsum(after)
+            begins = ends - after
+            rows = int(ends[-1])
+            for lo in range(0, rows, _BLOCK):
+                hi = min(lo + _BLOCK, rows)
+                a, b = np.searchsorted(ends, [lo, hi - 1], side="right")
+                take = after[a : b + 1].copy()
+                take[-1] = hi - begins[b]
+                take[0] -= lo - begins[a]
+                src = np.repeat(np.arange(a, b + 1), take)
+                partner = self._order[p0 + 1 + src + np.arange(lo, hi) - begins[src]]
+                yield members[src] * n + partner
+
+
+def _distinct(ranked: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array."""
+    keep = np.ones(ranked.size, dtype=bool)
+    keep[1:] = ranked[1:] != ranked[:-1]
+    return ranked[keep]
+
+
+def _rank_columns(keys: np.ndarray, span: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Order the n columns of a (k, n) key array, row 0 most significant.
+
+    Row j holds values in [0, span[j]). Returns (order, first): `order`
+    lists the columns by key, equal keys by ascending index, as a stable
+    lexsort would; `first` marks where a new key starts. Rows fold into one
+    mixed-radix code, widened to code * n + index: those are unique, so the
+    fast unstable sort is exact. Before the widened code would pass 2^62,
+    the prefix is re-ranked densely (below n) with one more sort; a row
+    wider than 2^62 / n^2 has whole keys ranked by `np.unique` first.
+    """
+    n = keys.shape[1]
+    if max(span) * n * n >= 2**62:
+        # a row too wide to follow even n prefixes: rank whole keys instead
+        keys = np.unique(keys.T, axis=0, return_inverse=True)[1].reshape(1, n)
+        span = [n]
+    k = keys.shape[0]
+    index = np.arange(n, dtype=np.int64)
+    code, count, j = 0, 1, 0
+    while True:
+        m, cells = j, count
+        while m < k and cells * span[m] * n < 2**62:
+            cells *= span[m]
+            m += 1
+        radix = np.array([math.prod(span[c + 1 : m]) for c in range(j, m)])
+        code = code * (cells // count) + radix @ keys[j:m]
+        ranked, order = np.divmod(np.sort(code * n + index), n)
+        first = np.ones(n, dtype=bool)
+        first[1:] = ranked[1:] != ranked[:-1]
+        if m == k:
+            return order, first
+        dense = np.cumsum(first)
+        code = np.empty(n, dtype=np.int64)
+        code[order] = dense - 1
+        count, j = int(dense[-1]), m

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from scalenets import lsh
 from scalenets.geometry import PointCloud, brute_near_neighbours, generate, pairwise_distances
 from scalenets.lsh import (
     LshIndex,
@@ -14,7 +16,58 @@ from scalenets.lsh import (
     table_count,
 )
 
-from conftest import quantile_scale
+from conftest import DEEP_CLOUDS, quantile_scale, structural_corpora
+
+
+def reference_tables(index):
+    """(gids, order, starts) from the per-table loop over (n, k) key rows.
+
+    Lexsort ranks rows column 0 first and is stable, so each bucket lists
+    its points in ascending order; keys narrow enough for one mixed-radix
+    int64 code are sorted by that code.
+    """
+    points, params = index.points, index.params
+    n = points.shape[0]
+    gids = np.empty((params.l, n), dtype=np.intp)
+    order_all = np.empty(params.l * n, dtype=np.intp)
+    starts = []
+    buckets = 0
+    for i in range(params.l):
+        keys = np.floor((points @ index._dirs[i].T + index._offs[i]) / params.w).astype(np.int64)
+        keys -= keys.min(axis=0)
+        span = keys.max(axis=0) + 1
+        if np.prod(span, dtype=np.float64) < 2.0**62:
+            keys = (keys @ np.append(np.cumprod(span[::-1])[::-1][1:], 1))[:, None]
+        order = np.lexsort(keys.T[::-1])
+        ranked = keys[order]
+        first = np.ones(n, dtype=bool)
+        first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+        gids[i, order] = np.cumsum(first) - 1 + buckets
+        order_all[i * n : (i + 1) * n] = order
+        starts.append(np.flatnonzero(first) + i * n)
+        buckets += starts[-1].size
+    return gids, order_all, np.concatenate([*starts, [params.l * n]])
+
+
+def reference_near_pairs(index):
+    """all_near_pairs through an n x n boolean adjacency over the buckets."""
+    n = index.n
+    adjacency = np.zeros(n * n, dtype=bool)
+    for b in range(index._starts.size - 1):
+        members = index._order[index._starts[b] : index._starts[b + 1]]
+        adjacency[(members[:, None] * n + members[None, :]).ravel()] = True
+    ii, jj = np.divmod(np.flatnonzero(adjacency), n)
+    ii, jj = ii[ii < jj], jj[ii < jj]
+    keep = np.linalg.norm(index.points[ii] - index.points[jj], axis=1) <= index.params.r1
+    out = np.stack([ii[keep], jj[keep]], axis=1)
+    return out[np.lexsort((out[:, 1], out[:, 0]))]
+
+
+def assert_tables_match_reference(index):
+    gids, order, starts = reference_tables(index)
+    assert np.array_equal(index._gids, gids)
+    assert np.array_equal(index._order, order)
+    assert np.array_equal(index._starts, starts)
 
 
 def test_table_count_example():
@@ -85,18 +138,61 @@ def test_duplicates_share_all_buckets():
     assert np.array_equal(index._gids[:, 0], index._gids[:, 1])
 
 
-@pytest.mark.parametrize("far", [1.0, 1e12])
+@pytest.mark.parametrize("far", [1.0, 1e3, 1e12, 1e15])
 def test_buckets_group_keys_exactly(far):
-    # with one point out at 1e12 the k hash columns span too much to share
-    # one int64 code, while the unit cube still fills shared buckets
+    # one point out at `far` widens the k hash columns. At 1.0 every table's
+    # key code fits in int64 beside the point index (one sort); at 1e3 some
+    # tables fit, some fit the code but not code * n, and some not even the
+    # code (the last two are re-ranked part way); at 1e12 every table is
+    # re-ranked; at 1e15 single hashes are too wide for that, and whole keys
+    # are ranked first.
+    # The unit cube still fills shared buckets.
     cloud = generate("uniform", n=80, d=3, seed=8)
     pts = np.vstack([cloud.points, cloud.points[:5], [[far, -far, far]]])
-    params = derive_params(86, 0.1, 0.5, 0.1)
+    n = pts.shape[0]
+    params = derive_params(n, 0.1, 0.5, 0.1)
     index = LshIndex(pts, params, seed=4)
+    seen = set()
     for i in range(params.l):
         keys = np.floor((pts @ index._dirs[i].T + index._offs[i]) / params.w).astype(np.int64)
+        span = [int(b) - int(a) + 1 for a, b in zip(keys.min(axis=0), keys.max(axis=0))]
+        cells = math.prod(span)
+        if max(span) * n * n >= 2**62:
+            seen.add("whole keys")
+        elif cells * n >= 2**62:
+            seen.add("re-ranked, cells fit" if cells < 2**62 else "re-ranked")
+        else:
+            seen.add("one sort")
         _, want = np.unique(keys, axis=0, return_inverse=True)
         assert np.array_equal(index._gids[i] - index._gids[i].min(), want.ravel())
+    assert seen == {
+        1.0: {"one sort"},
+        1e3: {"one sort", "re-ranked, cells fit", "re-ranked"},
+        1e12: {"re-ranked"},
+        1e15: {"whole keys"},
+    }[far]
+    assert_tables_match_reference(index)
+
+
+def _table_cases():
+    # (name, points, r): every structural corpus and deep cloud at its t,
+    # far-off clouds, and degenerate ones
+    cases = [(name, cloud.points, t) for name, cloud, t in structural_corpora() + DEEP_CLOUDS]
+    cube = generate("uniform", n=100, d=3, seed=21)
+    r = quantile_scale(cube, 0.1)
+    cases += [("shift+1e9", cube.points + 1e9, r), ("shift-1e12", cube.points - 1e12, r)]
+    cases += [
+        ("duplicates", np.full((30, 4), 2.5), 1.0),
+        ("d=1", generate("uniform", n=60, d=1, seed=5).points, 0.05),
+        ("n=2", np.array([[0.0, 1.0], [0.3, 1.0]]), 0.5),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("name, pts, r", _table_cases())
+def test_tables_equal_reference(name, pts, r):
+    index = LshIndex(pts, derive_params(len(pts), r, 0.5, 0.1), seed=len(name))
+    assert_tables_match_reference(index)
 
 
 def test_total_stored_entries():
@@ -176,3 +272,51 @@ def test_candidates_scanned_clustered_bound():
         c_max = int((dm <= params.r2).sum(axis=1).max())
         scanned = [index.query(q, r).candidates_scanned for q in range(cloud.n)]
         assert float(np.mean(scanned)) <= params.l * (c_max + 1) * 1.5, cloud.n
+
+
+def _block_cases():
+    # (name, points, r): clustered; a cluster of 12 copies, whose bucket
+    # holds 66 pairs, more than a small block; all duplicates, where every
+    # pair collides in every table
+    blob = generate("clustered", n=70, d=3, seed=13, clusters=5)
+    copies = np.vstack([blob.points[:40], np.repeat(blob.points[40:41], 12, axis=0)])
+    cases = [
+        ("clustered", blob.points, quantile_scale(blob, 0.1)),
+        ("copies", copies, quantile_scale(blob, 0.05)),
+        ("duplicates", np.full((15, 2), -3.0), 1.0),
+    ]
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("block", [1, 5, lsh._BLOCK])
+@pytest.mark.parametrize("name, pts, r", _block_cases())
+def test_all_near_pairs_blocks(name, pts, r, block, monkeypatch):
+    monkeypatch.setattr(lsh, "_BLOCK", block)
+    n = len(pts)
+    index = LshIndex(pts, derive_params(n, r, 0.5, 0.1), seed=n)
+    got = index.all_near_pairs()
+    assert got.shape[1] == 2 and got.dtype == np.intp
+    assert np.array_equal(got, reference_near_pairs(index))
+    from_queries = [[q, int(j)] for q in range(n) for j in index(q) if q < j]
+    assert got.tolist() == from_queries
+    largest = int(np.diff(index._starts).max())
+    if name == "copies":
+        assert largest * (largest - 1) // 2 > 5
+    if name == "duplicates":
+        assert len(got) == n * (n - 1) // 2
+
+
+def test_all_near_pairs_memory_is_not_quadratic():
+    # 12k points spread far apart: an n x n boolean adjacency would take
+    # 144 MB; the blocked merge needs a few block-sized arrays
+    n = 12_000
+    pts = generate("uniform", n=n, d=2, seed=3).points * 100.0
+    index = LshIndex(pts, derive_params(n, 0.05, 0.2, 0.1), seed=1)
+    tracemalloc.start()
+    try:
+        pairs = index.all_near_pairs()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pairs.shape[1] == 2
+    assert peak < n * n / 16, peak
