@@ -24,18 +24,17 @@ class CommandError(Exception):
     """Validation failure mapped to exit code 1."""
 
 
-def _load_cloud(path: str) -> _geometry.PointCloud:
+def _load(read, what: str, path: str):
+    """`read(path)`, with unreadable or rejected files mapped to CommandError."""
     try:
-        return _geometry.read_points(path)
+        return read(path)
     except (OSError, ValueError) as exc:
-        raise CommandError(f"cannot read points from {path}: {exc}") from exc
+        raise CommandError(f"cannot read {what} from {path}: {exc}") from exc
 
 
-def _build_forest_from_args(args, cloud) -> _forest.NetForest:
+def _build_forest_from_args(args, cloud, t: float) -> _forest.NetForest:
     mode = "exact" if args.exact_nn else "lsh"
-    return _forest.build_forest(
-        cloud, args.t, seed=args.seed, nn=mode, rho=args.rho, delta=args.delta
-    )
+    return _forest.build_forest(cloud, t, seed=args.seed, nn=mode, rho=args.rho, delta=args.delta)
 
 
 def cmd_gen_data(args) -> int:
@@ -61,10 +60,10 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_build_forest(args) -> int:
-    cloud = _load_cloud(args.input)
+    cloud = _load(_geometry.read_points, "points", args.input)
     if args.t <= 0:
         raise CommandError("--t must be positive")
-    forest = _build_forest_from_args(args, cloud)
+    forest = _build_forest_from_args(args, cloud, args.t)
     if args.verify:
         bad = _forest.check_forest(forest, cloud)
         if bad:
@@ -77,7 +76,7 @@ def cmd_build_forest(args) -> int:
 
 def _forest_for(args, cloud, scale: float) -> _forest.NetForest:
     if args.forest:
-        forest = _forest.read_forest(args.forest)
+        forest = _load(_forest.read_forest, "forest", args.forest)
         if abs(forest.t - scale) > 1e-9 * max(forest.t, scale):
             raise CommandError(
                 f"forest file built at t={forest.t}, this command needs t={scale}"
@@ -85,16 +84,11 @@ def _forest_for(args, cloud, scale: float) -> _forest.NetForest:
         if forest.n != cloud.n:
             raise CommandError("forest and point file disagree on n")
         return forest
-    saved_t = args.t
-    args.t = scale
-    try:
-        return _build_forest_from_args(args, cloud)
-    finally:
-        args.t = saved_t
+    return _build_forest_from_args(args, cloud, scale)
 
 
 def cmd_wspd(args) -> int:
-    cloud = _load_cloud(args.input)
+    cloud = _load(_geometry.read_points, "points", args.input)
     forest = _forest_for(args, cloud, args.t)
     wspd = _wspd.gen_wspd(forest, cloud, args.epsilon, args.t)
     if args.verify:
@@ -111,7 +105,7 @@ def cmd_wspd(args) -> int:
 
 
 def cmd_wssd(args) -> int:
-    cloud = _load_cloud(args.input)
+    cloud = _load(_geometry.read_points, "points", args.input)
     forest = _forest_for(args, cloud, 2.0 * args.t)
     wssd = _wssd.gen_wssd(forest, cloud, args.epsilon, args.k, args.t)
     if args.verify:
@@ -128,7 +122,7 @@ def cmd_wssd(args) -> int:
 
 
 def cmd_cech(args) -> int:
-    cloud = _load_cloud(args.input)
+    cloud = _load(_geometry.read_points, "points", args.input)
     grid = None
     if args.grid:
         try:
@@ -165,12 +159,12 @@ def cmd_cech(args) -> int:
 
 def cmd_dim_estimate(args) -> int:
     if args.forest:
-        forest = _forest.read_forest(args.forest)
+        forest = _load(_forest.read_forest, "forest", args.forest)
     else:
         if not args.input:
             raise CommandError("dim-estimate needs --forest or --input")
-        cloud = _load_cloud(args.input)
-        forest = _build_forest_from_args(args, cloud)
+        cloud = _load(_geometry.read_points, "points", args.input)
+        forest = _build_forest_from_args(args, cloud, args.t)
     est = _dimension.estimate_dim(forest)
     line = "dim-estimate t=%.17g x=%d log2x=%.17g" % (est.t, est.max_out_degree, est.estimate)
     print(line)

@@ -20,6 +20,10 @@ Each node also carries a `rel` list: the close-by nodes of comparable level
 with the selected primitive; all other levels are filled one level at a
 time from that definition with exact radius queries.
 
+Below the roots, the trees are one hierarchical net-tree cut off at t:
+`build_cluster_tree` builds each level's greedy net (scale 11^level) for
+every cluster at once, from the root level down.
+
 `NetForest` holds all of this as arrays over node ids, which are a DFS
 preorder: a subtree is an id range, and its point set is the reps of the
 leaves in that range, so no node stores its points.
@@ -32,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import lsh as _lsh
 from .geometry import ExactNearNeighbours, PointCloud, row_distances
 
 __all__ = [
@@ -224,6 +229,16 @@ def build_net(cloud: PointCloud, t: float, nn) -> tuple[np.ndarray, list[int]]:
     return netpoint, nets
 
 
+def _within(a: np.ndarray, b: np.ndarray, radius: float) -> np.ndarray:
+    """Rows with |a[i] - b[i]| <= radius, measured in one batch; rows within a
+    1e-9 relative band of `radius` are re-decided by `brute_force_rel`'s norm."""
+    dist = row_distances(a, b)
+    keep = dist <= radius
+    for k in np.flatnonzero(np.abs(dist - radius) <= 1e-9 * radius):
+        keep[k] = np.linalg.norm(a[k] - b[k]) <= radius
+    return keep
+
+
 def build_root_rel(net_points: np.ndarray, t: float, nn7t) -> list[list[int]]:
     """Rel lists for the roots, as local positions.
 
@@ -231,157 +246,151 @@ def build_root_rel(net_points: np.ndarray, t: float, nn7t) -> list[list[int]]:
     radius-7t primitive over exactly these rows, read through its
     `all_near_pairs`. Two roots are related when their representatives are
     within 14 * 11^root_level; that threshold is at most 7t, so the 7t pass
-    suffices. All pairs are measured in one batch; those within a 1e-9
-    relative band of the threshold are decided by the scalar norm.
+    suffices.
     """
     net_points = np.asarray(net_points, dtype=np.float64)
     m = net_points.shape[0]
     threshold = REL_COEF * float(TAU) ** root_level(t)
     pairs = np.asarray(nn7t.all_near_pairs() if m > 1 else [], dtype=np.intp).reshape(-1, 2)
-    i, j = pairs[:, 0], pairs[:, 1]
-    dist = row_distances(net_points[i], net_points[j])
-    keep = dist <= threshold
-    for k in np.flatnonzero(np.abs(dist - threshold) <= 1e-9 * threshold):
-        keep[k] = np.linalg.norm(net_points[i[k]] - net_points[j[k]]) <= threshold
+    i, j = pairs[_within(net_points[pairs[:, 0]], net_points[pairs[:, 1]], threshold)].T
     own = np.arange(m, dtype=np.intp)
-    rows = np.concatenate((own, i[keep], j[keep]))
-    cols = np.concatenate((own, j[keep], i[keep]))
+    rows = np.concatenate((own, i, j))
+    cols = np.concatenate((own, j, i))
     ends = np.cumsum(np.bincount(rows, minlength=m))
     return [c.tolist() for c in np.split(cols[np.lexsort((cols, rows))], ends)[:-1]]
 
 
 # ---------------------------------------------------------------------------
-# per-cluster tree construction
+# net-trees of all clusters, one level at a time
 # ---------------------------------------------------------------------------
 
+# pending sites decided per batch of a level's greedy net; bounds the pair
+# list of a batch whose sites all lie within the level's scale of each other
+_NET_BATCH = 256
 
-def _greedy_net(pts: np.ndarray, candidates: list[int], seeds: list[int], scale: float) -> list[int]:
-    """Greedy subset with pairwise separation > scale, covering within scale.
 
-    Seeds are kept unconditionally (they are already separated); remaining
-    candidates are scanned in order.
+def _close_pairs(pts, cluster, a, b, radius):
+    """Positions i, j and distances of the same-cluster points a[i], b[j] at
+    most `radius` apart. The row norm gives a pair the same value in any
+    batch, so ties at `radius` do not depend on how sites are batched."""
+    i, j = ExactNearNeighbours(pts[b], radius * (1 + 1e-9)).near_pairs(pts[a])
+    same = cluster[a[i]] == cluster[b[j]]
+    i, j = i[same], j[same]
+    dist = np.linalg.norm(pts[b[j]] - pts[a[i]], axis=1)
+    close = dist <= radius
+    return i[close], j[close], dist[close]
+
+
+def _greedy_level(pts, cluster, net, pending, scale):
+    """The pending sites that join the net at `scale`, ascending.
+
+    Scanned in ascending order, a site joins when no net point of its
+    cluster, old or new, lies within `scale`. Each batch is first cleared
+    against the net points before it; only its sites that conflict with
+    each other are then decided one at a time.
     """
-    kept: list[int] = list(seeds)
-    kept_pts = [pts[s] for s in seeds]
-    seed_set = set(seeds)
-    for c in candidates:
-        if c in seed_set:
-            continue
-        if kept_pts:
-            d = np.linalg.norm(np.asarray(kept_pts) - pts[c], axis=1)
-            if float(d.min()) <= scale:
-                continue
-        kept.append(c)
-        kept_pts.append(pts[c])
-    return kept
+    joined = []
+    blockers = net
+    while pending.size:
+        near, _, _ = _close_pairs(pts, cluster, pending, blockers, scale)
+        pending = np.delete(pending, near)
+        batch, pending = pending[:_NET_BATCH], pending[_NET_BATCH:]
+        i, j, _ = _close_pairs(pts, cluster, batch, batch, scale)
+        earlier, later = i[i < j], j[i < j]
+        earlier = earlier[np.argsort(later, kind="stable")]
+        ptr = _csr_ptr(later, batch.size).tolist()
+        keep = np.ones(batch.size, dtype=bool)
+        for c in np.unique(later).tolist():
+            keep[c] = not keep[earlier[ptr[c] : ptr[c + 1]]].any()
+        blockers = batch[keep]
+        joined.append(blockers)
+    return np.concatenate(joined)
 
 
 def build_cluster_tree(
-    cloud: PointCloud, members: np.ndarray, rep: int, rl: int
+    cloud: PointCloud, netpoint: np.ndarray, rl: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Net-tree of one cluster, rooted at `rep` with level `rl`.
+    """Net-trees of all clusters, built together one level at a time.
 
-    Nested greedy nets are built cluster-wide one level at a time (scale
-    11^level); each net point attaches to the closest coarser net point.
-    Chains of single-child cells are compressed away, so child levels may
-    jump. Exactly-coincident points can never separate by distance and are
-    split into sibling leaves directly below their site's node.
+    `netpoint` maps each point to its cluster's representative, which roots
+    the cluster's tree at level `rl` and is the lowest index of the points
+    coinciding with it (as `build_net` assigns them). Exact duplicates
+    collapse onto sites, their lowest index. From `rl` down, each level's
+    greedy net (scale 11^level) is built for every cluster at once, and each
+    new net point attaches to the closest coarser one of its cluster (ties:
+    earlier join level, then lower index). Single-child chains are
+    compressed, so child levels may jump, except at the roots. Coincident
+    points split into sibling leaves directly below their site's node.
 
-    Returns the fragment as `parent` (-1 at the root, node 0), `level` and
-    `rep` arrays over local ids, in DFS preorder with children ascending.
+    Returns `parent` (-1 at roots), `level` and `rep` over node ids: a DFS
+    preorder with roots, and every node's children, in ascending rep order.
     """
-    members = np.sort(np.asarray(members, dtype=np.intp))
-    pts = cloud.points
-    if not np.any(members == rep):
-        raise ValueError("cluster representative must belong to the cluster")
+    pts, n = cloud.points, cloud.n
+    cluster = np.asarray(netpoint, dtype=np.intp)
+    if cluster.shape != (n,) or np.any(cluster[cluster] != cluster):
+        raise ValueError("every point must map to a representative that maps to itself")
 
-    # collapse exact duplicates onto sites (keyed by their lowest member
-    # index); trees are built over sites
-    _, first, inverse = np.unique(
-        pts[members], axis=0, return_index=True, return_inverse=True
-    )
-    site_members: dict[int, list[int]] = {}
-    for m, s in zip(members.tolist(), members[first[inverse.ravel()]].tolist()):
-        site_members.setdefault(s, []).append(m)
-    sites = sorted(site_members)
-    if rep not in site_members:
-        # rep coincides with a lower-indexed point; promote its site to rep
-        s = next(s for s, ms in site_members.items() if rep in ms)
-        site_members[rep] = site_members.pop(s)
-        sites[sites.index(s)] = rep
+    # a site is the lowest index of its (cluster, coordinates) group
+    order = np.lexsort((*pts.T, cluster))
+    key = np.column_stack((cluster, pts))[order]
+    fresh = np.concatenate(([True], np.any(key[1:] != key[:-1], axis=1)))
+    site_of = np.empty(n, dtype=np.intp)
+    site_of[order] = order[fresh][np.cumsum(fresh) - 1]
+    roots = np.flatnonzero(cluster == np.arange(n))
+    if np.any(site_of[roots] != roots):
+        raise ValueError("a representative must be the lowest index of its duplicates")
 
-    parent: list[int] = []
-    level: list[int] = []
-    reps: list[int] = []
-
-    def new_node(rep_idx: int, lev: int, par: int) -> int:
-        parent.append(par)
-        level.append(lev)
-        reps.append(rep_idx)
-        return len(parent) - 1
-
-    def attach_site(site: int, lev: int, par: int) -> None:
-        """Node for a site cell: a leaf, or a split of coincident duplicates."""
-        nid = new_node(site, lev, par)
-        dups = site_members[site]
-        if len(dups) > 1:
-            for p in dups:
-                new_node(p, lev - 1, nid)
-
-    if len(sites) == 1:
-        attach_site(rep, rl, -1)
-        return tuple(np.array(a, dtype=np.intp) for a in (parent, level, reps))
-
-    # nested nets from root level downward until every site is a net point
-    nets: dict[int, list[int]] = {rl: [rep]}
-    parent_net: dict[int, dict[int, int]] = {}
+    # join[u]: level of the first net holding site u; up[u]: the coarser net
+    # point it attaches to (-1 at roots)
+    join = np.full(n, rl, dtype=np.int64)
+    up = np.full(n, -1, dtype=np.intp)
+    net = roots
+    pending = np.setdiff1d(np.flatnonzero(site_of == np.arange(n)), roots)
     lev = rl
-    while len(nets[lev]) < len(sites):
-        nxt = lev - 1
-        scale = float(TAU) ** nxt
-        net = _greedy_net(pts, sites, nets[lev], scale)
-        # each net point attaches to the closest coarser net point
-        coarse = nets[lev]
-        coarse_pts = pts[np.asarray(coarse, dtype=np.intp)]
-        attach: dict[int, int] = {}
-        for w in net:
-            d = np.linalg.norm(coarse_pts - pts[w], axis=1)
-            attach[w] = coarse[int(np.argmin(d))]
-        nets[nxt] = net
-        parent_net[nxt] = attach
-        lev = nxt
-    bottom = lev
+    while pending.size:
+        coarse = net[np.isin(cluster[net], cluster[pending])]
+        new = _greedy_level(pts, cluster, coarse, pending, float(TAU) ** (lev - 1))
+        if lev == rl:
+            up[new] = cluster[new]
+        else:
+            # every new net point has a coarser one within 11^lev
+            i, j, dist = _close_pairs(pts, cluster, new, coarse, float(TAU) ** lev)
+            closest = np.lexsort((coarse[j], -join[coarse[j]], dist, i))
+            first = closest[np.unique(i[closest], return_index=True)[1]]
+            up[new[i[first]]] = coarse[j[first]]
+        join[new] = lev - 1
+        net = np.concatenate((net, new))
+        pending = np.setdiff1d(pending, new, assume_unique=True)
+        lev -= 1
 
-    # children of a net point u at level j are the level j-1 net points
-    # attached to it; u is always one of them (the nets are nested)
-    children_at: dict[tuple[int, int], list[int]] = {}
-    for j in range(bottom, rl):
-        for w, u in parent_net[j].items():
-            children_at.setdefault((u, j + 1), []).append(w)
-    for key in children_at:
-        children_at[key].sort()
+    # each net point's children, grouped by join level, highest first
+    kids = np.lexsort((-join, up))[np.count_nonzero(up < 0) :]
+    kid_ptr = _csr_ptr(up[kids], n).tolist()
+    next_kid, end = kid_ptr[:-1], kid_ptr[1:]
+    kid_join, kids = join[kids].tolist(), kids.tolist()
+    dup_ptr = _csr_ptr(site_of, n).tolist()
+    dups = np.argsort(site_of, kind="stable").tolist()
 
-    def materialize(u: int, top: int, par: int) -> None:
-        """Nodes for u's chain whose highest conceptual level is `top`.
-
-        The stored level is the lowest chain level: the point set is
-        unchanged until the cell either splits or bottoms out, and a chain
-        that bottoms out holds the single site u.
-        """
-        j = top
-        while j > bottom and children_at.get((u, j), [u]) == [u]:
-            j -= 1
-        if j == bottom:
-            attach_site(u, top, par)
-            return
-        nid = new_node(u, j, par)
-        for w in children_at[(u, j)]:
-            materialize(w, j - 1, nid)
-
-    root = new_node(rep, rl, -1)
-    for w in children_at.get((rep, rl), [rep]):
-        materialize(w, rl - 1, root)
-    return tuple(np.array(a, dtype=np.intp) for a in (parent, level, reps))
+    nodes: list[tuple[int, int, int]] = []  # (parent, level, rep) in preorder
+    stack = [(r, rl, -1) for r in reversed(roots.tolist())]
+    while stack:
+        u, top, par = stack.pop()
+        nid = len(nodes)
+        k = next_kid[u]
+        if k == end[u]:
+            # a site cell: a leaf, or a split of coincident points
+            same = dups[dup_ptr[u] : dup_ptr[u + 1]]
+            nodes += [(par, top, u)] + [(nid, top - 1, p) for p in same if len(same) > 1]
+            continue
+        # the cell splits where u's next children join (a root always at rl)
+        split = top if par < 0 else kid_join[k] + 1
+        stop = k
+        while stop < end[u] and kid_join[stop] == split - 1:
+            stop += 1
+        next_kid[u] = stop
+        nodes.append((par, split, u))
+        stack += [(w, split - 1, nid) for w in sorted(kids[k:stop] + [u], reverse=True)]
+    return tuple(np.array(a, dtype=np.intp) for a in zip(*nodes))
 
 
 def build_forest(
@@ -400,38 +409,24 @@ def build_forest(
     hash draws; rerun with the exact primitive to rule out probabilistic
     misses.
     """
-    from . import lsh as _lsh
-
     if nn not in ("exact", "lsh"):
         raise ValueError("nn must be 'exact' or 'lsh'")
 
-    if nn == "exact" or cloud.n < 2:
-        nn_t = ExactNearNeighbours(cloud.points, t)
-    else:
-        params = _lsh.derive_params(cloud.n, t, rho, delta)
-        nn_t = _lsh.LshIndex(cloud.points, params, seed)
-    netpoint, nets = build_net(cloud, t, nn_t)
+    def primitive(points: np.ndarray, r: float, draw: int):
+        if nn == "exact" or len(points) < 2:
+            return ExactNearNeighbours(points, r)
+        return _lsh.LshIndex(points, _lsh.derive_params(len(points), r, rho, delta), draw)
 
-    m = len(nets)
-    if m < 2:
-        root_rel = [[0]]
-    else:
-        net_pts = cloud.points[np.asarray(nets, dtype=np.intp)]
-        if nn == "exact":
-            nn_7t = ExactNearNeighbours(net_pts, 7.0 * t)
-        else:
-            params7 = _lsh.derive_params(m, 7.0 * t, rho, delta)
-            nn_7t = _lsh.LshIndex(net_pts, params7, seed + 1)
-        root_rel = build_root_rel(net_pts, t, nn_7t)
+    # no name holds the radius-t index, the largest object of an LSH build,
+    # once the net is built
+    netpoint, nets = build_net(cloud, t, primitive(cloud.points, t, seed))
+    net_pts = cloud.points[np.asarray(nets, dtype=np.intp)]
+    root_rel = build_root_rel(net_pts, t, primitive(net_pts, 7.0 * t, seed + 1))
 
     rl = root_level(t)
-    fragments = [build_cluster_tree(cloud, np.flatnonzero(netpoint == p), p, rl) for p in nets]
-    parent, level, rep = (np.concatenate([f[k] for f in fragments]) for k in range(3))
-    sizes = [f[0].size for f in fragments]
-    roots = np.cumsum([0] + sizes[:-1])
-    parent = np.where(parent >= 0, parent + np.repeat(roots, sizes), -1)
-
-    # root rel lists only; augment_rel fills every other level
+    parent, level, rep = build_cluster_tree(cloud, netpoint, rl)
+    # roots come in `nets` order; root rel lists only, augment_rel fills the rest
+    roots = np.flatnonzero(parent < 0)
     rel_owner = np.repeat(roots, [len(r) for r in root_rel])
     rel_ids = roots[np.concatenate(root_rel)]
     forest = NetForest(parent, level, rep, _csr_ptr(rel_owner, parent.size), rel_ids, t, rl)
@@ -460,33 +455,32 @@ def augment_rel(forest: NetForest, cloud: PointCloud) -> None:
 
     The rel list of a level-L node holds the level-L cells (nodes whose
     level interval holds L) with representative within 14 * 11^L: the
-    definition `brute_force_rel` checks. One kd-tree radius query per level
-    finds them. The paper fills these lists top-down from the parent's lists
-    because it assumes only an approximate near-neighbour primitive; every
-    candidate is kept or dropped by its exact distance either way, so the
-    lists are the same. Root rel lists come from `build_root_rel` and are
-    left as they are.
+    definition `brute_force_rel` checks. One kd-tree pair query per level
+    finds the candidates, and `_within` decides them in one batch. The paper
+    fills these lists top-down from the parent's lists because it assumes
+    only an approximate near-neighbour primitive; every candidate is kept or
+    dropped by its exact distance either way, so the lists are the same.
+    Root rel lists come from `build_root_rel` and are left as they are.
     """
     pts = cloud.points
     rep = forest.rep
     owner = np.repeat(np.arange(forest.n_nodes), np.diff(forest.rel_ptr))
     at_root = forest.parent[owner] < 0
-    rows, cols = owner[at_root].tolist(), forest.rel_ids[at_root].tolist()
+    rows, cols = [owner[at_root]], [forest.rel_ids[at_root]]
     non_root = forest.parent >= 0
     for lev in np.unique(forest.level[non_root]).tolist():
         members = np.flatnonzero(non_root & (forest.level == lev))
         cells = np.flatnonzero((forest.low <= lev) & (lev < forest.high))
         threshold = REL_COEF * float(TAU) ** lev
         # the kd-tree radius is padded so that its own rounding cannot drop
-        # a pair; the oracle's norm expression makes the final call on ties
+        # a pair; `_within` makes the final call
         index = ExactNearNeighbours(pts[rep[cells]], threshold * (1 + 1e-9))
-        for u, hits in zip(members.tolist(), index.near_rows(pts[rep[members]])):
-            here = pts[rep[u]]
-            for j in hits.tolist():
-                if np.linalg.norm(here - index.points[j]) <= threshold:
-                    rows.append(u)
-                    cols.append(int(cells[j]))
-    rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+        i, j = index.near_pairs(pts[rep[members]])
+        u, v = members[i], cells[j]
+        keep = _within(pts[rep[u]], pts[rep[v]], threshold)
+        rows.append(u[keep])
+        cols.append(v[keep])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
     forest.rel_ids = cols[np.lexsort((cols, rows))]
     forest.rel_ptr = _csr_ptr(rows, forest.n_nodes)
 

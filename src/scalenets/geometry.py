@@ -440,6 +440,13 @@ class ExactNearNeighbours:
         hits = self._tree.query_ball_point(queries, self.r)
         return [np.sort(np.asarray(h, dtype=np.intp)) for h in hits]
 
+    def near_pairs(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(query row, index) of every pair within the radius, in no set order."""
+        from scipy.spatial import cKDTree
+
+        found = cKDTree(queries).sparse_distance_matrix(self._tree, self.r, output_type="ndarray")
+        return found["i"].astype(np.intp), found["j"].astype(np.intp)
+
     def all_near_pairs(self) -> np.ndarray:
         """All index pairs (i < j) within the query radius."""
         pairs = self._tree.query_pairs(self.r, output_type="ndarray")

@@ -218,7 +218,11 @@ def read_wspd(path: str | Path) -> Wspd:
     text = Path(path).read_text().splitlines()
     if not text or not text[0].startswith("wspd v1 "):
         raise ValueError(f"{path}: not a wspd v1 file")
-    header = dict(tok.split("=", 1) for tok in text[0].split()[2:])
+    try:
+        header = dict(tok.split("=", 1) for tok in text[0].split()[2:])
+        epsilon, t = float(header["epsilon"]), float(header["t"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed header {text[0]!r}") from exc
     rows: list[tuple[int, int]] = []
     for line in text[1:]:
         if not line.strip():
@@ -234,4 +238,4 @@ def read_wspd(path: str | Path) -> Wspd:
             raise ValueError(f"{path}: pair {u} {v} is not stored with u <= v")
         rows.append((u, v))
     pairs = np.array(rows, dtype=np.intp).reshape(-1, 2)
-    return Wspd(pairs=pairs, epsilon=float(header["epsilon"]), t=float(header["t"]))
+    return Wspd(pairs=pairs, epsilon=epsilon, t=t)

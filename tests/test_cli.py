@@ -161,3 +161,20 @@ def test_dim_estimate_output(tmp_path, capsys):
     assert run(["dim-estimate", "--forest", str(forest)]) == 0
     line = capsys.readouterr().out.strip()
     assert line.startswith("dim-estimate t=") and " x=" in line and " log2x=" in line
+
+
+@pytest.mark.parametrize("command", ["wspd", "dim-estimate"])
+def test_unreadable_forest_file_is_an_error(tmp_path, capsys, command):
+    pts = tmp_path / "pts.txt"
+    run(["gen-data", "--kind", "uniform", "--n", "20", "--d", "2",
+         "--seed", "2", "--output", str(pts)])
+    rejected = tmp_path / "rejected.txt"
+    rejected.write_text("not a forest\n")
+    for forest in (tmp_path / "missing.txt", rejected):
+        args = {
+            "wspd": ["wspd", "--input", str(pts), "--output", str(tmp_path / "o.wspd"),
+                     "--t", "0.5", "--epsilon", "0.5", "--seed", "3"],
+            "dim-estimate": ["dim-estimate"],
+        }[command]
+        assert run(args + ["--forest", str(forest)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot read forest from {forest}")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scalenets.forest import (
     COVER_COEF,
@@ -24,8 +26,10 @@ from scalenets.forest import (
     write_forest,
 )
 from scalenets.geometry import ExactNearNeighbours, PointCloud, generate, pairwise_distances
+from scalenets.lsh import LshIndex, derive_params
 
 from conftest import DEEP_CLOUDS, quantile_scale
+from forest_reference import reference_forest
 
 
 def test_root_level_examples():
@@ -115,18 +119,109 @@ def fragment_forest(parent, level, rep):
 
 def test_cluster_tree_singleton():
     cloud = PointCloud(np.array([[1.0, 1.0]]))
-    parent, level, rep = build_cluster_tree(cloud, np.array([0]), 0, 3)
+    parent, level, rep = build_cluster_tree(cloud, np.array([0]), 3)
     assert parent.tolist() == [-1] and rep.tolist() == [0] and level.tolist() == [3]
 
 
 def test_cluster_tree_two_points():
     cloud = PointCloud(np.array([[0.0], [0.5]]))
-    parent, level, rep = build_cluster_tree(cloud, np.array([0, 1]), 0, 0)
+    parent, level, rep = build_cluster_tree(cloud, np.array([0, 0]), 0)
     fragment = fragment_forest(parent, level, rep)
     assert parent[0] == -1 and level[0] == 0 and fragment.points(0).tolist() == [0, 1]
     leaves = np.setdiff1d(np.arange(parent.size), parent)
     assert sorted(rep[leaves].tolist()) == [0, 1]
     assert np.all(level[1:] < level[parent[1:]])
+
+
+def test_cluster_tree_rejects_bad_representatives():
+    cloud = PointCloud(np.array([[0.0], [0.0], [3.0]]))
+    with pytest.raises(ValueError, match="maps to itself"):
+        build_cluster_tree(cloud, np.array([0, 0, 1]), 0)
+    with pytest.raises(ValueError, match="lowest index of its duplicates"):
+        build_cluster_tree(cloud, np.array([1, 1, 2]), 0)
+
+
+def line(*xs):
+    return PointCloud(np.array(xs, dtype=float)[:, None])
+
+
+LATTICE = np.array([[x, y] for x in range(12) for y in range(12)], dtype=float)
+SCALED = generate("uniform", n=80, d=3, seed=4).points
+
+# (name, cloud, t) with ties, duplicates and extreme magnitudes
+REFERENCE_EXTRAS = [
+    # cluster {0, 0.001}: its root has one child, and keeps the root level
+    ("one-child-root", line(0.0, 0.001, 5.0), 1.0),
+    # -0.0 and 0.0 are one site
+    ("duplicates", PointCloud(np.array(
+        [[0.0, 0.0], [-0.0, 0.0], [4.0, 0.0], [0.0, -0.0], [4.0, 0.0], [0.3, 0.1]])), 1.0),
+    ("lattice", PointCloud(LATTICE), 30.0),
+    ("lattice-eleventh", PointCloud(LATTICE / 11.0), 3.0),
+    ("even-line", PointCloud(np.arange(40.0)[:, None] / 11.0), 2.5),
+    ("single", PointCloud(np.array([[0.5, 0.5]])), 1.0),
+    ("tiny", PointCloud(SCALED * 1e-150), 2e-150),
+    ("huge", PointCloud(SCALED * 1e150), 2e150),
+]
+
+
+def assert_matches_reference(name, cloud, t):
+    forest, want = build_forest(cloud, t, nn="exact"), reference_forest(cloud, t)
+    for attr in ("parent", "level", "rep", "rel_ptr", "rel_ids"):
+        assert np.array_equal(getattr(forest, attr), getattr(want, attr)), (name, attr)
+
+
+def test_forest_matches_per_cluster_reference(corpora):
+    for name, cloud, t in corpora + DEEP_CLOUDS + REFERENCE_EXTRAS:
+        assert_matches_reference(name, cloud, t)
+
+
+def test_reference_extras_shapes():
+    forest = build_forest(REFERENCE_EXTRAS[0][1], 1.0, nn="exact")
+    root = int(forest.roots[0])
+    assert forest.level[root] == forest.root_level and forest.children_of(root) == [root + 1]
+    forest = build_forest(REFERENCE_EXTRAS[1][1], 1.0, nn="exact")
+    assert len({int(forest.parent[forest.leaf_of[p]]) for p in (0, 1, 3)}) == 1
+
+
+# small integer clouds in 1-3 dimensions, where duplicates are common; a
+# flipped sign turns 0.0 into -0.0
+lattice_clouds = st.integers(1, 3).flatmap(
+    lambda d: st.lists(
+        st.tuples(st.lists(st.integers(-3, 3), min_size=d, max_size=d), st.booleans()),
+        min_size=1,
+        max_size=30,
+    )
+)
+
+
+def lattice_points(rows, scale=1.0):
+    pts = np.array([coords for coords, _ in rows], dtype=float) * scale
+    flip = np.array([flipped for _, flipped in rows])
+    pts[flip] = -pts[flip]
+    return pts
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_clouds, st.sampled_from([0.5, 1.0, 2.5, 6.0]), st.sampled_from(["exact", "lsh"]),
+       st.integers(0, 2**16))
+def test_duplicates_share_their_lowest_index_net_point(rows, t, nn, seed):
+    pts = lattice_points(rows)
+    cloud = PointCloud(pts)
+    if nn == "exact" or cloud.n < 2:
+        index = ExactNearNeighbours(pts, t)
+    else:
+        index = LshIndex(pts, derive_params(cloud.n, t), seed)
+    netpoint, nets = build_net(cloud, t, index)
+    _, lowest, group = np.unique(pts, axis=0, return_index=True, return_inverse=True)
+    lowest = lowest[group.ravel()]
+    assert np.array_equal(netpoint, netpoint[lowest])
+    assert np.array_equal(lowest[nets], nets)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_clouds, st.sampled_from([0.3, 1.0, 2.2, 7.5]), st.sampled_from([1e-150, 0.1, 1e150]))
+def test_forest_matches_reference_on_lattice_clouds(rows, t, scale):
+    assert_matches_reference("lattice cloud", PointCloud(lattice_points(rows, scale)), t * scale)
 
 
 def test_cluster_tree_invariants_hundred_points(corpora):

@@ -233,3 +233,13 @@ def test_read_rejects_malformed_line(tmp_path, line):
     path.write_text(f"wspd v1 epsilon=0.5 t=1\npair 0 1\n{line}\n")
     with pytest.raises(ValueError, match="unexpected line"):
         read_wspd(path)
+
+
+@pytest.mark.parametrize(
+    "header", ["wspd v1 t=1", "wspd v1 epsilon=0.5", "wspd v1 epsilon=x t=1", "wspd v1 epsilon t=1"]
+)
+def test_read_rejects_malformed_header(tmp_path, header):
+    path = tmp_path / "bad.wspd"
+    path.write_text(f"{header}\npair 0 1\n")
+    with pytest.raises(ValueError, match="malformed header"):
+        read_wspd(path)
