@@ -41,6 +41,9 @@ RTOL = 1e-9
 MAX_MEB_POINTS = 25
 MAX_DOUBLING_POINTS = 16
 
+# radii whose squared lengths neither under- nor overflow
+_SAFE_LO, _SAFE_HI = 2.0**-450, 2.0**450
+
 
 @dataclass(frozen=True)
 class PointCloud:
@@ -158,6 +161,20 @@ def exact_meb(points: np.ndarray) -> Ball:
         raise ValueError("exact_meb needs at least one point")
     if m > MAX_MEB_POINTS:
         raise ValueError(f"exact_meb is an oracle for <= {MAX_MEB_POINTS} points")
+    best = _meb_search(pts)
+    if best is not None and _SAFE_LO <= best[1] <= _SAFE_HI:
+        return Ball(best[0], best[1])
+    # squared lengths under- or overflowed: search again on the offsets from
+    # the first point, scaled to unit size by a power of two (exactly)
+    offsets = pts - pts[0]
+    e = int(np.frexp(np.abs(offsets).max())[1])
+    best = _meb_search(np.ldexp(offsets, -e))
+    assert best is not None, "a valid support set always exists"
+    return Ball(pts[0] + np.ldexp(best[0], e), float(np.ldexp(best[1], e)))
+
+
+def _meb_search(pts: np.ndarray) -> tuple[np.ndarray, float] | None:
+    m, d = pts.shape
     best: tuple[np.ndarray, float] | None = None
     for size in range(1, min(d + 1, m) + 1):
         for idx in combinations(range(m), size):
@@ -170,8 +187,7 @@ def exact_meb(points: np.ndarray) -> Ball:
                 radius = max(radius, dmax)
                 if best is None or radius < best[1]:
                     best = (center, radius)
-    assert best is not None, "a valid support set always exists"
-    return Ball(best[0], best[1])
+    return best
 
 
 def meb_radii(stack: np.ndarray) -> np.ndarray:
@@ -182,8 +198,21 @@ def meb_radii(stack: np.ndarray) -> np.ndarray:
     vertex <= 0); otherwise the circumradius c / (2 sin C), with C the
     angle opposite the longest side c. That angle is the largest, so it
     lies in [60, 90) degrees and sin C is computed without cancellation.
+    A radius outside [2^-450, 2^450], where squared lengths may under- or
+    overflow, is computed again on its set's offsets from the first point,
+    scaled to unit size by a power of two, as `exact_meb` does.
     """
     stack = np.asarray(stack, dtype=np.float64)
+    radii = _meb_radii(stack)
+    redo = ~((radii >= _SAFE_LO) & (radii <= _SAFE_HI))
+    if redo.any():
+        offsets = stack[redo] - stack[redo, :1]
+        e = np.frexp(np.abs(offsets).max(axis=(1, 2)))[1]
+        radii[redo] = np.ldexp(_meb_radii(np.ldexp(offsets, -e[:, None, None])), e)
+    return radii
+
+
+def _meb_radii(stack: np.ndarray) -> np.ndarray:
     if stack.shape[1] == 2:
         return row_distances(stack[:, 0], stack[:, 1]) / 2.0
     if stack.shape[1] != 3:

@@ -170,9 +170,13 @@ class LshIndex:
         self._dirs = rng.standard_normal((params.l, params.k, d))
         self._offs = rng.uniform(0.0, params.w, size=(params.l, params.k))
 
-        self._gids = np.empty((params.l, n), dtype=np.intp)
-        self._order = np.empty(params.l * n, dtype=np.intp)
-        starts: list[np.ndarray] = []
+        # bucket ids and positions stay within l * n: 32 bits halve the
+        # index arrays wherever they fit. _starts gets room for l * n
+        # buckets; pages past the last bucket are never touched.
+        ids = np.int32 if params.l * n < 2**31 else np.intp
+        self._gids = np.empty((params.l, n), dtype=ids)
+        self._order = np.empty(params.l * n, dtype=ids)
+        self._starts = np.empty(params.l * n + 1, dtype=ids)
         buckets = 0
         proj = np.empty((params.k, n))
         keys = np.empty((params.k, n), dtype=np.int64)
@@ -189,9 +193,11 @@ class LshIndex:
             order, first = _rank_columns(keys, span)
             self._gids[i][order] = np.cumsum(first) + (buckets - 1)
             self._order[i * n : (i + 1) * n] = order
-            starts.append(np.flatnonzero(first) + i * n)
-            buckets += starts[-1].size
-        self._starts = np.concatenate([*starts, [params.l * n]])
+            heads = np.flatnonzero(first)
+            self._starts[buckets : buckets + heads.size] = heads + i * n
+            buckets += heads.size
+        self._starts[buckets] = params.l * n
+        self._starts = self._starts[: buckets + 1]
 
     @property
     def n(self) -> int:
@@ -203,8 +209,10 @@ class LshIndex:
             raise ValueError(f"point {q} was not indexed")
         if not math.isclose(r, self.params.r1, rel_tol=1e-12):
             raise ValueError(f"index built for radius {self.params.r1}, queried at {r}")
-        lo = self._starts[self._gids[:, q]]
-        sizes = self._starts[self._gids[:, q] + 1] - lo
+        # q's bucket in every table: one strided read of _gids
+        bucket = self._gids[:, q]
+        lo = self._starts[bucket]
+        sizes = self._starts[bucket + 1] - lo
         scanned = int(sizes.sum())
         # positions of the members of q's bucket in every table, in one array
         pos = np.arange(scanned) + np.repeat(lo - np.cumsum(sizes) + sizes, sizes)
@@ -232,17 +240,23 @@ class LshIndex:
 
         Same output as calling the index on every indexed point, gathered
         symmetrically, in lexicographic order. Blocks of pair codes are
-        merged into one sorted array of distinct codes, so memory is bounded
-        by `_BLOCK` plus the number of distinct colliding pairs.
+        sorted and held back until they outnumber the merged codes, then
+        merged all at once, so the merging work grows with the codes made,
+        not with their product with the number of blocks. Memory is bounded
+        by `_BLOCK` plus a small multiple of the number of distinct
+        colliding pairs.
         """
         n = self.n
         codes = np.empty(0, dtype=np.int64)
+        runs: list[np.ndarray] = []
+        held = 0
         for block in self._pair_blocks():
             block.sort()
-            merged = np.concatenate((codes, _distinct(block)))
-            # two sorted runs: the stable sort merges them in one pass
-            merged.sort(kind="stable")
-            codes = _distinct(merged)
+            runs.append(_distinct(block))
+            held += runs[-1].size
+            if held >= codes.size:
+                codes, runs, held = _merge_runs([codes, *runs]), [], 0
+        codes = _merge_runs([codes, *runs])
         ii, jj = np.divmod(codes, n)
         keep = np.empty(codes.size, dtype=bool)
         step = max(1, _BLOCK // self.points.shape[1])  # _BLOCK coordinates
@@ -271,7 +285,15 @@ class LshIndex:
                 take[0] -= lo - begins[a]
                 src = np.repeat(np.arange(a, b + 1), take)
                 partner = self._order[p0 + 1 + src + np.arange(lo, hi) - begins[src]]
-                yield members[src] * n + partner
+                yield members[src].astype(np.int64) * n + partner
+
+
+def _merge_runs(runs: list[np.ndarray]) -> np.ndarray:
+    """The distinct values of sorted arrays, in one sorted array."""
+    merged = np.concatenate(runs)
+    # sorted runs: the stable sort (timsort) merges them without re-sorting
+    merged.sort(kind="stable")
+    return _distinct(merged)
 
 
 def _distinct(ranked: np.ndarray) -> np.ndarray:
@@ -287,13 +309,15 @@ def _rank_columns(keys: np.ndarray, span: list[int]) -> tuple[np.ndarray, np.nda
     Row j holds values in [0, span[j]). Returns (order, first): `order`
     lists the columns by key, equal keys by ascending index, as a stable
     lexsort would; `first` marks where a new key starts. Rows fold into one
-    mixed-radix code, widened to code * n + index: those are unique, so the
-    fast unstable sort is exact. Before the widened code would pass 2^62,
-    the prefix is re-ranked densely (below n) with one more sort; a row
-    wider than 2^62 / n^2 has whole keys ranked by `np.unique` first.
+    mixed-radix code, widened to code * 2^s + index (2^s >= n): those are
+    unique, so the fast unstable sort is exact, and shifts split them again.
+    Before the widened code would pass 2^62, the prefix is re-ranked densely
+    (below n) with one more sort; a row wider than 2^62 / (n 2^s) has whole
+    keys ranked by `np.unique` first.
     """
     n = keys.shape[1]
-    if max(span) * n * n >= 2**62:
+    shift = max(1, (n - 1).bit_length())
+    if (max(span) * n) << shift >= 2**62:
         # a row too wide to follow even n prefixes: rank whole keys instead
         keys = np.unique(keys.T, axis=0, return_inverse=True)[1].reshape(1, n)
         span = [n]
@@ -302,12 +326,14 @@ def _rank_columns(keys: np.ndarray, span: list[int]) -> tuple[np.ndarray, np.nda
     code, count, j = 0, 1, 0
     while True:
         m, cells = j, count
-        while m < k and cells * span[m] * n < 2**62:
+        while m < k and (cells * span[m]) << shift < 2**62:
             cells *= span[m]
             m += 1
         radix = np.array([math.prod(span[c + 1 : m]) for c in range(j, m)])
         code = code * (cells // count) + radix @ keys[j:m]
-        ranked, order = np.divmod(np.sort(code * n + index), n)
+        ranked = np.sort((code << shift) | index)
+        order = ranked & ((1 << shift) - 1)
+        ranked >>= shift
         first = np.ones(n, dtype=bool)
         first[1:] = ranked[1:] != ranked[:-1]
         if m == k:

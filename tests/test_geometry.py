@@ -187,6 +187,23 @@ def test_meb_radii_right_and_near_right_triangles():
     assert_radii_match_oracle(embedded, "near right in R^5")
 
 
+def test_meb_radii_far_below_and_above_unit_scale():
+    # squared lengths of these sets under- or overflow; the radii must not
+    cases = [
+        ([[0.0], [2.7994374991302657e-160]], 1.3997187495651329e-160),
+        ([[1.0, 0.0], [1.0, 1e-200]], 5e-201),
+        ([[1.0, 0.0], [1.0, 1e-200], [1.0, 3e-200]], 1.5e-200),
+        ([[0.0, 0.0], [3e-170, 0.0], [0.0, 4e-170]], 2.5e-170),
+        ([[0.0, 0.0], [3e200, 0.0], [0.0, 4e200]], 2.5e200),
+    ]
+    for pts, want in cases:
+        stack = np.array([pts])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert math.isclose(meb_radii(stack)[0], want, rel_tol=1e-12), pts
+            assert math.isclose(exact_meb(np.array(pts)).radius, want, rel_tol=1e-12), pts
+            assert_radii_match_oracle(stack, "far scale")
+
+
 def test_meb_radii_rejects_other_sizes():
     with pytest.raises(ValueError):
         meb_radii(np.zeros((2, 4, 3)))

@@ -142,14 +142,15 @@ def test_duplicates_share_all_buckets():
 def test_buckets_group_keys_exactly(far):
     # one point out at `far` widens the k hash columns. At 1.0 every table's
     # key code fits in int64 beside the point index (one sort); at 1e3 some
-    # tables fit, some fit the code but not code * n, and some not even the
-    # code (the last two are re-ranked part way); at 1e12 every table is
-    # re-ranked; at 1e15 single hashes are too wide for that, and whole keys
-    # are ranked first.
+    # tables fit, some fit the code but not code * 2^s (the index takes s
+    # bits, 2^s >= n), and some not even the code (the last two are
+    # re-ranked part way); at 1e12 every table is re-ranked; at 1e15 single
+    # hashes are too wide for that, and whole keys are ranked first.
     # The unit cube still fills shared buckets.
     cloud = generate("uniform", n=80, d=3, seed=8)
     pts = np.vstack([cloud.points, cloud.points[:5], [[far, -far, far]]])
     n = pts.shape[0]
+    width = 1 << (n - 1).bit_length()
     params = derive_params(n, 0.1, 0.5, 0.1)
     index = LshIndex(pts, params, seed=4)
     seen = set()
@@ -157,9 +158,9 @@ def test_buckets_group_keys_exactly(far):
         keys = np.floor((pts @ index._dirs[i].T + index._offs[i]) / params.w).astype(np.int64)
         span = [int(b) - int(a) + 1 for a, b in zip(keys.min(axis=0), keys.max(axis=0))]
         cells = math.prod(span)
-        if max(span) * n * n >= 2**62:
+        if max(span) * n * width >= 2**62:
             seen.add("whole keys")
-        elif cells * n >= 2**62:
+        elif cells * width >= 2**62:
             seen.add("re-ranked, cells fit" if cells < 2**62 else "re-ranked")
         else:
             seen.add("one sort")
