@@ -18,7 +18,7 @@ t = float(np.quantile(d[d > 0], 0.2))
 forest = build_forest(cloud, t, nn="exact")
 
 for eps in (0.3, 0.5, 0.8):
-    wspd = gen_wspd(forest, cloud, eps, t)
+    wspd = gen_wspd(forest, cloud, eps)
     report = verify_wspd(cloud, forest, wspd, eps, t)
     pairs_within_t = int((d <= t).sum() - cloud.n) // 2
     print(f"eps={eps}: {len(wspd.pairs):6d} node pairs cover {pairs_within_t} point pairs; "
@@ -41,7 +41,7 @@ for n in ns:
         np.fill_diagonal(dm, np.inf)
         t = 2.0 * float(np.median(dm.min(axis=1)))
     forest = build_forest(cloud, t, nn="exact")
-    sizes.append(len(gen_wspd(forest, cloud, 0.5, t).pairs))
+    sizes.append(len(gen_wspd(forest, cloud, 0.5).pairs))
     print(f"  n={n:5d}: {sizes[-1]:6d} pairs")
 slope = float(np.polyfit(np.log(ns), np.log(sizes), 1)[0])
 print(f"log-log slope: {slope:.3f}")

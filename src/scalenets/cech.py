@@ -14,16 +14,20 @@ epsilon, so that the tuples covering a simplex are fine enough to survive
 the level gate at every grid scale; `build_cech_pipeline` uses
 epsilon/42.
 
-Each slice gathers the rep sets of all tuples as sorted arrays, one per set
-size, and sizes the 2- and 3-point sets in one closed-form pass
-(`geometry.meb_radii`). A radius within a 1e-8 relative band of the
-threshold is measured again by the `exact_meb` oracle, so every slice is
-the one `exact_meb` alone would give. Sets of 4 or more reps (k >= 3) go to
-`exact_meb` directly.
+A slice depends on alpha only through the level h(alpha), which is
+monotone in alpha, and its threshold. Each level is built once: every
+point's cell, the distinct rep sets of the tuples below the level as sorted
+arrays, one per set size, and their radii. 2- and 3-point sets are sized in
+one closed-form pass (`geometry.meb_radii`); sets of 4 or more reps (k >= 3)
+by `exact_meb`, once per build. A slice keeps the sets within its
+threshold; a closed-form radius within a 1e-8 relative band of it is
+measured again by the `exact_meb` oracle, so every slice is the one
+`exact_meb` alone would give.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -31,7 +35,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .forest import COVER_COEF, TAU, NetForest, build_forest, vcell
+# `vcell` is not called here; perfbench's tracer wraps the name `cech.vcell`,
+# and its smoke test requires every traced name to resolve
+from .forest import COVER_COEF, TAU, NetForest, build_forest, vcell  # noqa: F401
 from .geometry import PointCloud, exact_meb, meb_radii, row_distances
 from .wssd import Wssd, gen_wssd
 
@@ -145,27 +151,42 @@ def build_filtration(
 
     pts = cloud.points
     scale = float(np.abs(pts).max())
-    large_radii: dict[tuple[int, ...], float] = {}
+    large_radius = functools.cache(lambda key: exact_meb(pts[list(key)]).radius)
     slices: list[FiltrationSlice] = []
     # per tier: each tuple's largest node `low`, which the level gate needs
     # below h, and its nodes' reps. A node with low < h lies in the cell of
     # its rep's leaf, since the rep's leaf is in the node's subtree.
-    rep = forest.rep.tolist()
     tiers = [(forest.low[nodes].max(axis=1), forest.rep[nodes]) for nodes in wssd.tiers.values()]
 
     for alpha in grid:
         h = choose_h(epsilon, float(alpha), forest.root_level)
+        if not slices or slices[-1].h != h:
+            # the level-(h-1) cells are disjoint subtrees, each an id range
+            # of the preorder, that cover every leaf: a leaf's cell is the
+            # last cell id at or below its own
+            cells = np.flatnonzero((forest.low < h) & (h <= forest.high))
+            cell_rep = forest.rep[cells[np.searchsorted(cells, forest.leaf_of, "right") - 1]]
+            keys = _slice_keys([np.sort(cell_rep[reps[top < h]], axis=1) for top, reps in tiers])
+            radii = [
+                meb_radii(pts[sets]) if sets.shape[1] <= 3
+                else np.array([large_radius(key) for key in map(tuple, sets.tolist())])
+                for sets in keys
+            ]
         theta = (1.0 + epsilon / 2.0) * float(alpha) * (1 + 1e-12)
-        cell_rep = np.array([rep[vcell(forest, p, h)] for p in range(cloud.n)], dtype=np.intp)
-
-        rows = [np.sort(cell_rep[reps[top < h]], axis=1) for top, reps in tiers]
-        kept = [keys[_keep(pts, keys, theta, scale, large_radii)] for keys in _slice_keys(rows)]
-        # close under faces so each slice is a simplicial complex
+        # keep the sets within theta, closed under faces so each slice is a
+        # simplicial complex
         simplices: set[tuple[int, ...]] = set()
-        for keys in kept:
-            for size in range(2, keys.shape[1] + 1):
-                for cols in combinations(range(keys.shape[1]), size):
-                    simplices.update(map(tuple, keys[:, cols].tolist()))
+        for sets, rad in zip(keys, radii):
+            keep = rad <= theta
+            if sets.shape[1] <= 3:
+                # the band is relative, plus 1e-12 of the largest coordinate
+                # for rounding far from the origin
+                near = np.flatnonzero(~(np.abs(rad - theta) > 1e-8 * theta + 1e-12 * scale))
+                keep[near] = [exact_meb(pts[sets[i]]).radius <= theta for i in near.tolist()]
+            kept = sets[keep]
+            for size in range(2, kept.shape[1] + 1):
+                for cols in combinations(range(kept.shape[1]), size):
+                    simplices.update(map(tuple, kept[:, cols].tolist()))
         slices.append(
             FiltrationSlice(
                 alpha=float(alpha), h=h, vertex_map=dict(enumerate(cell_rep.tolist())),
@@ -198,34 +219,6 @@ def _unique_rows(keys: np.ndarray) -> np.ndarray:
     first = np.ones(len(keys), dtype=bool)
     first[1:] = (keys[1:] != keys[:-1]).any(axis=1)
     return keys[first]
-
-
-def _keep(
-    pts: np.ndarray,
-    keys: np.ndarray,
-    theta: float,
-    scale: float,
-    large_radii: dict[tuple[int, ...], float],
-) -> np.ndarray:
-    """Which rep sets have exact enclosing radius at most theta.
-
-    Sets of 2 or 3 reps take the closed form `meb_radii`; a radius within
-    1e-8 of theta (relative, plus 1e-12 of the largest coordinate for
-    rounding far from the origin) is measured again by `exact_meb`, so the
-    decision is the one `exact_meb` gives. Larger sets (k >= 3 only) go to
-    `exact_meb` once each, remembered in `large_radii` across slices.
-    """
-    if keys.shape[1] > 3:
-        rows = list(map(tuple, keys.tolist()))
-        for key in rows:
-            if key not in large_radii:
-                large_radii[key] = exact_meb(pts[list(key)]).radius
-        radii = np.array([large_radii[key] for key in rows])
-    else:
-        radii = meb_radii(pts[keys])
-        near = np.flatnonzero(~(np.abs(radii - theta) > 1e-8 * theta + 1e-12 * scale))
-        radii[near] = [exact_meb(pts[keys[i]]).radius for i in near.tolist()]
-    return radii <= theta
 
 
 def build_cech_pipeline(

@@ -1,6 +1,7 @@
 """Command-line surface: data generation, pipelines, verification.
 
-Exit codes: 0 success, 1 validation or verification failure, 2 usage error.
+Exit codes: 0 success, 1 validation or verification failure (a
+`CommandError`, or a `ValueError` from the library), 2 usage error.
 Every command is deterministic given --seed.
 """
 
@@ -51,10 +52,7 @@ def cmd_gen_data(args) -> int:
         params["spread"] = args.spread
     if args.kind in ("sphere",) and args.noise:
         params["noise"] = args.noise
-    try:
-        cloud = _geometry.generate(args.kind, **params)
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
+    cloud = _geometry.generate(args.kind, **params)
     _geometry.write_points(args.output, cloud)
     return 0
 
@@ -90,7 +88,7 @@ def _forest_for(args, cloud, scale: float) -> _forest.NetForest:
 def cmd_wspd(args) -> int:
     cloud = _load(_geometry.read_points, "points", args.input)
     forest = _forest_for(args, cloud, args.t)
-    wspd = _wspd.gen_wspd(forest, cloud, args.epsilon, args.t)
+    wspd = _wspd.gen_wspd(forest, cloud, args.epsilon)
     if args.verify:
         if cloud.n > 500:
             raise CommandError("--verify is gated to n <= 500 for wspd")
@@ -130,20 +128,17 @@ def cmd_cech(args) -> int:
         except ValueError as exc:
             raise CommandError(f"bad --grid: {exc}") from exc
     mode = "exact" if args.exact_nn else "lsh"
-    try:
-        _, _, output = _cech.build_cech_pipeline(
-            cloud,
-            args.epsilon,
-            args.k,
-            args.t,
-            seed=args.seed,
-            nn=mode,
-            grid=grid,
-            rho=args.rho,
-            delta=args.delta,
-        )
-    except ValueError as exc:
-        raise CommandError(str(exc)) from exc
+    _, _, output = _cech.build_cech_pipeline(
+        cloud,
+        args.epsilon,
+        args.k,
+        args.t,
+        seed=args.seed,
+        nn=mode,
+        grid=grid,
+        rho=args.rho,
+        delta=args.delta,
+    )
     if args.verify:
         if cloud.n > 40:
             raise CommandError("--verify is gated to n <= 40 for cech")
@@ -267,7 +262,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("dim-estimate --input needs --seed")
     try:
         return args.func(args)
-    except CommandError as exc:
+    except (CommandError, ValueError) as exc:
+        # a library ValueError is a rejected input, reported like a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,7 +9,6 @@ apart carry no guarantee.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,10 +62,8 @@ def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if ends.size else 0) - np.repeat(ends - lengths, lengths)
 
 
-def gen_wspd(
-    forest: NetForest, cloud: PointCloud, epsilon: float, t: float | None = None
-) -> Wspd:
-    """Well-separated pairs covering all point pairs within the forest scale.
+def gen_wspd(forest: NetForest, cloud: PointCloud, epsilon: float) -> Wspd:
+    """Well-separated pairs covering all point pairs within the forest scale t.
 
     Seeds on every root pair within 7t (`NetForest.roots_within_7t`, an
     exact radius query over the root representatives, so built and loaded
@@ -82,10 +79,6 @@ def gen_wspd(
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0,1)")
-    if t is None:
-        t = forest.t
-    if not math.isclose(t, forest.t, rel_tol=1e-12):
-        raise ValueError(f"forest was built at scale {forest.t}, not {t}")
 
     pts = cloud.points
     n_nodes = forest.n_nodes
@@ -148,7 +141,7 @@ def gen_wspd(
 
     codes = np.unique(np.concatenate(found))
     pairs = np.column_stack((codes // n_nodes, codes % n_nodes)).astype(np.intp)
-    return Wspd(pairs=pairs, epsilon=epsilon, t=float(t))
+    return Wspd(pairs=pairs, epsilon=epsilon, t=forest.t)
 
 
 @dataclass

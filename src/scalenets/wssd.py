@@ -126,7 +126,7 @@ def gen_wssd(
     parent, level = forest.parent.tolist(), forest.level.tolist()
     stats = {"skipped": 0, "capped": 0, "fallback_all_roots": 0}
 
-    base = gen_wspd(forest, cloud, epsilon / 2.0, forest.t)
+    base = gen_wspd(forest, cloud, epsilon / 2.0)
     tiers: dict[int, np.ndarray] = {1: base.pairs}
 
     neighbours = forest.roots_within_7t(cloud)

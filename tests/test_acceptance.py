@@ -202,7 +202,7 @@ def test_criterion_07_wspd():
         cloud = geom.generate(kind, seed=700 + i, **kwargs)
         t = quantile_scale(cloud, 0.2)
         forest = forest_mod.build_forest(cloud, t, nn="exact")
-        wspd = wspd_mod.gen_wspd(forest, cloud, 0.5, t)
+        wspd = wspd_mod.gen_wspd(forest, cloud, 0.5)
         rep = wspd_mod.verify_wspd(cloud, forest, wspd, 0.5, t)
         if not rep.ok:
             violations.append((kind, i, len(rep.separation_violations), len(rep.coverage_violations)))
@@ -216,7 +216,7 @@ def test_criterion_07_wspd():
         if t is None:
             t = 2.0 * median_nn(cloud)
         forest = forest_mod.build_forest(cloud, t, nn="exact")
-        sizes.append(len(wspd_mod.gen_wspd(forest, cloud, 0.5, t).pairs))
+        sizes.append(len(wspd_mod.gen_wspd(forest, cloud, 0.5).pairs))
     slope = float(np.polyfit(np.log(ns), np.log(sizes), 1)[0])
     ok = not violations and 0.8 <= slope <= 1.2
     report(7, "WSPD: zero violations on 10 corpora; size slope 1 +/- 0.2", ok,
@@ -388,15 +388,20 @@ def test_criterion_12_pinned_outputs(tmp_path):
 
 
 def test_criterion_13_scaling_trend():
+    # the fastest of 3 builds per size: a single build swings with machine
+    # load, and the swing grows with n
     times = []
     ns = (1000, 2000, 4000, 8000)
     for n in ns:
         extent = math.sqrt(n / ns[0]) * 2.0
         cloud = geom.generate("affine", n=n, d=8, flat_dim=2, seed=130, extent=extent)
         t = 3.0 * median_nn_fast(cloud)
-        start = time.perf_counter()
-        forest_mod.build_forest(cloud, t, seed=131, nn="lsh")
-        times.append(time.perf_counter() - start)
+        runs = []
+        for _ in range(3):
+            start = time.perf_counter()
+            forest_mod.build_forest(cloud, t, seed=131, nn="lsh")
+            runs.append(time.perf_counter() - start)
+        times.append(min(runs))
     slope = float(np.polyfit(np.log(ns), np.log(times), 1)[0])
     report(13, "forest build wall-time grows sub-quadratically (slope < 1.7)",
            slope < 1.7, f"slope={slope:.2f} times={[round(x, 2) for x in times]}")

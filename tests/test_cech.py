@@ -260,6 +260,20 @@ def test_slices_match_reference_on_deep_clouds():
     assert_slices_match_reference(cloud, t / 2, 2, f"{name} k=2")
 
 
+def test_slices_match_reference_at_every_level():
+    # one scale per level h that a scale in (0, t] selects, from the level
+    # below every internal node (all cells leaves) up to the cap below the
+    # root level, so each cell lookup is pinned against the `vcell` walk
+    epsilon = 0.5
+    for name, cloud, t in DEEP_CLOUDS:
+        forest = build_forest(cloud, t, nn="exact")
+        top = choose_h(epsilon, t / 2, forest.root_level)
+        levels = list(range(int(forest.level[~forest.is_leaf].min()) - 1, top + 1))
+        grid = np.array([min(t / 2, 7 * COVER_COEF * TAU ** (h + 0.5) / epsilon) for h in levels])
+        assert [choose_h(epsilon, a, forest.root_level) for a in grid] == levels, name
+        assert_slices_match_reference(cloud, t / 2, 1, name, epsilon, grid)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_slices_match_reference_on_degenerate_clouds(k):
     for name, cloud in degenerate_clouds(12 if k == 3 else 25):

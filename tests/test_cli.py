@@ -31,18 +31,20 @@ def test_gen_data_affine(tmp_path):
     assert len(out.read_text().splitlines()) == 501
 
 
-def test_gen_data_missing_seed_is_usage_error(tmp_path):
-    # the child process must import the same package as this one, which
-    # pytest's own `pythonpath` setting does not reach
+def run_process(args):
+    """The CLI in a child process, which must import the same package as this
+    one; pytest's own `pythonpath` setting does not reach it."""
     src = str(Path(scalenets.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "scalenets", "gen-data", "--kind", "uniform",
-         "--n", "10", "--d", "2", "--output", str(tmp_path / "x.txt")],
-        capture_output=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "scalenets", *args], capture_output=True, text=True, env=env
     )
+
+
+def test_gen_data_missing_seed_is_usage_error(tmp_path):
+    proc = run_process(["gen-data", "--kind", "uniform", "--n", "10", "--d", "2",
+                        "--output", str(tmp_path / "x.txt")])
     assert proc.returncode == 2, proc.stderr
 
 
@@ -149,6 +151,44 @@ def test_forest_scale_mismatch_rejected(tmp_path):
          "--output", str(tmp_path / "o.wspd"), "--t", "0.3",
          "--epsilon", "0.5", "--seed", "3"]
     ) == 1
+
+
+def test_forest_scale_within_tolerance_accepted(tmp_path):
+    # a --t within the 1e-9 file tolerance of the forest's scale runs, and
+    # the pairs carry the forest's own scale
+    pts = tmp_path / "pts.txt"
+    run(["gen-data", "--kind", "uniform", "--n", "30", "--d", "2",
+         "--seed", "2", "--output", str(pts)])
+    forest = tmp_path / "forest.txt"
+    run(["build-forest", "--input", str(pts), "--output", str(forest),
+         "--t", "0.3", "--seed", "3", "--exact-nn"])
+    out = tmp_path / "o.wspd"
+    assert run(
+        ["wspd", "--input", str(pts), "--forest", str(forest), "--output", str(out),
+         "--t", "0.30000000003", "--epsilon", "0.5", "--seed", "3"]
+    ) == 0
+    assert out.read_text().startswith("wspd v1 epsilon=0.5 t=%.17g\n" % 0.3)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dim-estimate", "--t", "-1"],
+        ["wspd", "--t", "0.5", "--epsilon", "2"],
+        ["wssd", "--t", "0.5", "--epsilon", "0.5", "--k", "0"],
+        ["wspd", "--t", "0", "--epsilon", "0.5"],
+        ["build-forest", "--t", "0.5", "--rho", "1.5"],
+    ],
+    ids=" ".join,
+)
+def test_rejected_parameter_is_an_error_line(tmp_path, args):
+    pts = tmp_path / "pts.txt"
+    run(["gen-data", "--kind", "uniform", "--n", "20", "--d", "2",
+         "--seed", "2", "--output", str(pts)])
+    proc = run_process(args + ["--input", str(pts), "--output", str(tmp_path / "o.txt"),
+                               "--seed", "1"])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_dim_estimate_output(tmp_path, capsys):

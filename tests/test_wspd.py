@@ -95,7 +95,7 @@ def test_two_tight_clusters_coverage():
     cloud = PointCloud(np.array([[0.0], [0.1], [10.0], [10.1]]))
     t = 20.0
     forest = build(cloud, t)
-    wspd = gen_wspd(forest, cloud, 0.5, t)
+    wspd = gen_wspd(forest, cloud, 0.5)
     report = verify_wspd(cloud, forest, wspd, 0.5, t)
     assert report.ok
     # every cross point pair is covered by an emitted pair
@@ -115,7 +115,7 @@ def test_two_tight_clusters_coverage():
 def test_single_point_empty():
     cloud = PointCloud(np.array([[0.0, 0.0]]))
     forest = build(cloud, 1.0)
-    wspd = gen_wspd(forest, cloud, 0.5, 1.0)
+    wspd = gen_wspd(forest, cloud, 0.5)
     assert wspd.pairs.shape == (0, 2)
 
 
@@ -123,7 +123,7 @@ def test_far_singletons_no_pairs():
     cloud = PointCloud(np.array([[0.0], [1000.0]]))
     t = 1.0
     forest = build(cloud, t)
-    wspd = gen_wspd(forest, cloud, 0.5, t)
+    wspd = gen_wspd(forest, cloud, 0.5)
     assert wspd.pairs.shape == (0, 2)
     assert verify_wspd(cloud, forest, wspd, 0.5, t).ok  # coverage vacuous past t
 
@@ -133,21 +133,14 @@ def test_epsilon_validation():
     forest = build(cloud, 0.5)
     for bad in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
-            gen_wspd(forest, cloud, bad, 0.5)
-
-
-def test_scale_mismatch_rejected():
-    cloud = generate("uniform", n=10, d=2, seed=1)
-    forest = build(cloud, 0.5)
-    with pytest.raises(ValueError):
-        gen_wspd(forest, cloud, 0.5, 0.7)
+            gen_wspd(forest, cloud, bad)
 
 
 def test_random_clouds_zero_violations(corpora):
     for name, cloud, t in corpora[:4]:
         forest = build(cloud, t)
         for eps in (0.3, 0.7):
-            wspd = gen_wspd(forest, cloud, eps, t)
+            wspd = gen_wspd(forest, cloud, eps)
             report = verify_wspd(cloud, forest, wspd, eps, t)
             assert report.ok, f"{name} eps={eps}"
 
@@ -156,7 +149,7 @@ def test_verifier_flags_fabricated_violations():
     cloud = generate("clustered", n=40, d=2, seed=3, clusters=3)
     t = quantile_scale(cloud, 0.3)
     forest = build(cloud, t)
-    wspd = gen_wspd(forest, cloud, 0.5, t)
+    wspd = gen_wspd(forest, cloud, 0.5)
     # separation: pair two fat sibling nodes that are far from separated
     children = forest.children_of(forest.roots[0])
     if len(children) >= 2:
@@ -174,7 +167,7 @@ def test_verifier_flags_fabricated_violations():
 def test_pairs_below_root_level(corpora):
     _, cloud, t = corpora[1]
     forest = build(cloud, t)
-    wspd = gen_wspd(forest, cloud, 0.5, t)
+    wspd = gen_wspd(forest, cloud, 0.5)
     for u, v in wspd.pairs.tolist():
         assert forest.level[u] <= forest.root_level
         assert forest.level[v] <= forest.root_level
@@ -194,7 +187,7 @@ def test_wspd_file_roundtrip(tmp_path, monkeypatch):
     cloud = generate("uniform", n=30, d=2, seed=5)
     t = quantile_scale(cloud, 0.3)
     forest = build(cloud, t)
-    wspd = gen_wspd(forest, cloud, 0.5, t)
+    wspd = gen_wspd(forest, cloud, 0.5)
     path = tmp_path / "out.wspd"
     write_wspd(path, wspd)
     first = path.read_text()
