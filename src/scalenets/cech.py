@@ -38,7 +38,9 @@ import numpy as np
 # `vcell` is not called here; perfbench's tracer wraps the name `cech.vcell`,
 # and its smoke test requires every traced name to resolve
 from .forest import COVER_COEF, TAU, NetForest, build_forest, vcell  # noqa: F401
-from .geometry import PointCloud, exact_meb, meb_radii, row_distances
+from .geometry import (
+    RTOL, PointCloud, exact_meb, meb_radii, parse_fields, read_records, row_distances,
+)
 from .wssd import Wssd, gen_wssd
 
 __all__ = [
@@ -260,7 +262,6 @@ def verify_sandwich(
     output: FiltrationOutput,
     epsilon: float,
     k: int,
-    rtol: float = 1e-9,
 ) -> SandwichReport:
     """Per-scale containment oracle against the exact Cech complex.
 
@@ -289,7 +290,7 @@ def verify_sandwich(
             if len(image) >= 2 and image not in present:
                 lower.append((sl.alpha, vertices))
         for simplex in sl.simplices:
-            if exact_meb(pts[list(simplex)]).radius > (1 + epsilon) * sl.alpha * (1 + rtol):
+            if exact_meb(pts[list(simplex)]).radius > (1 + epsilon) * sl.alpha * (1 + RTOL):
                 upper.append((sl.alpha, simplex))
     return SandwichReport(lower_violations=lower, upper_violations=upper)
 
@@ -312,6 +313,9 @@ def write_filtration(path: str | Path, output: FiltrationOutput) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_SLICE_FIELDS = {"alpha": float, "h": int}
+
+
 def read_filtration(path: str | Path) -> FiltrationOutput:
     """Inverse of `write_filtration`.
 
@@ -320,31 +324,22 @@ def read_filtration(path: str | Path) -> FiltrationOutput:
     is not their vertex count minus one or below 1, vertices that are not
     strictly ascending, and negative ids.
     """
-    text = Path(path).read_text().splitlines()
-    if not text or not text[0].startswith("cechapprox v1 "):
-        raise ValueError(f"{path}: not a cechapprox v1 file")
-    try:
-        header = dict(tok.split("=", 1) for tok in text[0].split()[2:])
-        epsilon, t = float(header["epsilon"]), float(header["t"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed header {text[0]!r}") from exc
+    (epsilon, t), body = read_records(path, "cechapprox", epsilon=float, t=float)
     slices: list[FiltrationSlice] = []
     current: FiltrationSlice | None = None
-    for line in text[1:]:
-        if not line.strip():
-            continue
-        kind, *toks = line.split()
+    for row in body:
+        kind, toks = row[0], row[1:]
         if kind != "slice" and current is None:
             raise ValueError(f"{path}: {kind} before any slice")
         try:
             if kind == "slice":
-                fields = dict(tok.split("=", 1) for tok in toks)
-                current = FiltrationSlice(float(fields["alpha"]), int(fields["h"]), {}, set())
+                alpha, h = parse_fields(toks, _SLICE_FIELDS)
+                current = FiltrationSlice(alpha, h, {}, set())
                 slices.append(current)
                 continue
             ids = [int(v) for v in toks]
         except (KeyError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed line {line!r}") from exc
+            raise ValueError(f"{path}: malformed line {' '.join(row)!r}") from exc
         if kind == "vmap" and len(ids) == 2 and min(ids) >= 0:
             current.vertex_map[ids[0]] = ids[1]
         elif (
@@ -356,5 +351,5 @@ def read_filtration(path: str | Path) -> FiltrationOutput:
         ):
             current.simplices.add(tuple(ids[1:]))
         else:
-            raise ValueError(f"{path}: malformed line {line!r}")
+            raise ValueError(f"{path}: malformed line {' '.join(row)!r}")
     return FiltrationOutput(slices=slices, epsilon=epsilon, t=t)

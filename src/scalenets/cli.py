@@ -50,7 +50,7 @@ def cmd_gen_data(args) -> int:
         params["clusters"] = args.clusters
         params["separation"] = args.separation
         params["spread"] = args.spread
-    if args.kind in ("sphere",) and args.noise:
+    if args.noise:
         params["noise"] = args.noise
     cloud = _geometry.generate(args.kind, **params)
     _geometry.write_points(args.output, cloud)
@@ -90,8 +90,6 @@ def cmd_wspd(args) -> int:
     forest = _forest_for(args, cloud, args.t)
     wspd = _wspd.gen_wspd(forest, cloud, args.epsilon)
     if args.verify:
-        if cloud.n > 500:
-            raise CommandError("--verify is gated to n <= 500 for wspd")
         report = _wspd.verify_wspd(cloud, forest, wspd, args.epsilon, args.t)
         if not report.ok:
             raise CommandError(
@@ -107,8 +105,6 @@ def cmd_wssd(args) -> int:
     forest = _forest_for(args, cloud, 2.0 * args.t)
     wssd = _wssd.gen_wssd(forest, cloud, args.epsilon, args.k, args.t)
     if args.verify:
-        if cloud.n > 62:
-            raise CommandError("--verify is gated to n <= 62 for wssd")
         report = _wssd.verify_wssd(cloud, forest, wssd, args.epsilon, args.k, args.t)
         if not report.ok:
             raise CommandError(
@@ -140,8 +136,6 @@ def cmd_cech(args) -> int:
         delta=args.delta,
     )
     if args.verify:
-        if cloud.n > 40:
-            raise CommandError("--verify is gated to n <= 40 for cech")
         report = _cech.verify_sandwich(cloud, output, args.epsilon, args.k)
         if not report.ok:
             raise CommandError(

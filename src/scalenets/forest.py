@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lsh as _lsh
-from .geometry import ExactNearNeighbours, PointCloud, row_distances
+from .geometry import RTOL, ExactNearNeighbours, PointCloud, read_records, row_distances
 
 __all__ = [
     "TAU",
@@ -550,7 +550,7 @@ def vcell(forest: NetForest, p: int, h: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def check_forest(forest: NetForest, cloud: PointCloud, rtol: float = 1e-9) -> list[str]:
+def check_forest(forest: NetForest, cloud: PointCloud) -> list[str]:
     """All structural violations of the forest contracts; empty when valid.
 
     Violations are listed check by check, each in node order. Exact
@@ -565,11 +565,11 @@ def check_forest(forest: NetForest, cloud: PointCloud, rtol: float = 1e-9) -> li
     rep_pts = pts[rep[forest.roots]]
     for p in range(cloud.n):
         d = np.linalg.norm(rep_pts - pts[p], axis=1)
-        if float(d.min()) > t * (1 + rtol):
+        if float(d.min()) > t * (1 + RTOL):
             bad.append(f"point {p} not covered by any root within t")
     for i in range(len(rep_pts)):
         d = np.linalg.norm(rep_pts[i + 1 :] - rep_pts[i], axis=1)
-        bad += [f"roots {i},{i + 1 + j} closer than t" for j in np.flatnonzero(d <= t * (1 - rtol))]
+        bad += [f"roots {i},{i + 1 + j} closer than t" for j in np.flatnonzero(d <= t * (1 - RTOL))]
 
     # the root ranges tile the ids and the leaf reps are 0..forest.n-1
     if forest.n != cloud.n:
@@ -598,7 +598,7 @@ def check_forest(forest: NetForest, cloud: PointCloud, rtol: float = 1e-9) -> li
         np.maximum.at(far, anc, np.linalg.norm(pts[point] - pts[rep[anc]], axis=1))
         up = parent[anc] >= 0
         anc, point = parent[anc[up]], point[up]
-    wide = np.flatnonzero(far > forest.cover * (1 + rtol))
+    wide = np.flatnonzero(far > forest.cover * (1 + RTOL))
     bad += [f"node {v}: covering radius exceeded" for v in wide]
 
     for root in forest.roots.tolist():
@@ -606,7 +606,7 @@ def check_forest(forest: NetForest, cloud: PointCloud, rtol: float = 1e-9) -> li
         for v in range(root + 1, root + size[root]):
             radius = PACK_COEF * float(TAU) ** int(forest.level[parent[v]])
             d = np.linalg.norm(pts[tree] - pts[rep[v]], axis=1)
-            inside = tree[d <= radius * (1 - rtol)]
+            inside = tree[d <= radius * (1 - RTOL)]
             leaf = forest.leaf_of[inside]
             outside = inside[(leaf < v) | (leaf >= v + size[v])]
             # coincident duplicates are exempt
@@ -652,26 +652,17 @@ def read_forest(path: str | Path) -> NetForest:
     preorder, rel or rep ids out of range, and leaf reps that are not
     exactly the points 0..n-1 of the header.
     """
-    text = Path(path).read_text().splitlines()
-    if not text or not text[0].startswith("netforest v1 "):
-        raise ValueError(f"{path}: not a netforest v1 file")
-    try:
-        header = dict(tok.split("=", 1) for tok in text[0].split()[2:])
-        n, t, tau = int(header["n"]), float(header["t"]), int(header["tau"])
-        rl = int(header["root_level"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed header {text[0]!r}") from exc
+    (n, t, tau, rl), body = read_records(path, "netforest", n=int, t=float, tau=int, root_level=int)
     if tau != TAU:
         raise ValueError(f"{path}: unsupported tau {tau}")
 
     rows = []
-    for line in text[1:]:
-        if not line.strip():
-            continue
-        toks = line.split()
+    for toks in body:
         if toks[0] != "node":
-            raise ValueError(f"{path}: unexpected line {line!r}")
+            raise ValueError(f"{path}: unexpected line {' '.join(toks)!r}")
         try:
+            # split inline: a `parse_fields` call per node line costs a fifth
+            # of this loop
             fields = dict(tok.split("=", 1) for tok in toks[2:])
             rows.append((
                 int(toks[1]),
@@ -682,7 +673,7 @@ def read_forest(path: str | Path) -> NetForest:
                 [int(r) for r in fields["rel"].split(",") if r],
             ))
         except (IndexError, KeyError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed line {line!r}") from exc
+            raise ValueError(f"{path}: malformed line {' '.join(toks)!r}") from exc
     rows.sort(key=lambda row: row[0])
     if [row[0] for row in rows] != list(range(len(rows))):
         raise ValueError(f"{path}: node ids must be dense")

@@ -439,6 +439,34 @@ def read_points(path: str | Path) -> PointCloud:
     return PointCloud(np.array(rows, dtype=np.float64))
 
 
+def parse_fields(tokens: list[str], types: dict) -> list:
+    """Values of the `key=value` tokens for the keys of `types`, in its order.
+
+    Each value is converted by its key's type; other keys are ignored.
+    Raises KeyError for a missing key and ValueError for a token without
+    `=` or a value its type rejects.
+    """
+    given = dict(tok.split("=", 1) for tok in tokens)
+    return [conv(given[key]) for key, conv in types.items()]
+
+
+def read_records(path: str | Path, magic: str, **header) -> tuple[list, list[list[str]]]:
+    """Header values and body rows of a `<magic> v1 key=value ...` file.
+
+    The header values are those of the keyword names, converted by their
+    types as in `parse_fields`. The body rows are the whitespace-split
+    tokens of every non-blank line after the header.
+    """
+    lines = Path(path).read_text().splitlines()
+    if not lines or not lines[0].startswith(f"{magic} v1 "):
+        raise ValueError(f"{path}: not a {magic} v1 file")
+    try:
+        values = parse_fields(lines[0].split()[2:], header)
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed header {lines[0]!r}") from exc
+    return values, [toks for toks in map(str.split, lines[1:]) if toks]
+
+
 # ---------------------------------------------------------------------------
 # exact near-neighbour primitive
 # ---------------------------------------------------------------------------

@@ -61,23 +61,23 @@ def concat_length(n: int, p2: float) -> int:
     return max(1, int(math.ceil(-math.log(n) / math.log(p2))))
 
 
-def select_width(rho: float, *, lo: float = 0.25, hi: float = 64.0, steps: int = 400) -> float:
+def select_width(rho: float) -> float:
     """Smallest bucket width (in units of r1) with log p1 / log p2 <= rho.
 
     The collision ratio at radii r and r/rho depends only on w/r, so the
-    search is one-dimensional. Smaller widths keep p2 low and with it the
-    concatenation length.
+    search is one-dimensional: 400 geometric steps over [0.25, 64].
+    Smaller widths keep p2 low and with it the concatenation length.
     """
     if not 0 < rho < 1:
         raise ValueError("rho must lie in (0,1)")
-    for w in np.geomspace(lo, hi, steps):
+    for w in np.geomspace(0.25, 64.0, 400):
         p1 = collision_probability(1.0, w)
         p2 = collision_probability(1.0 / rho, w)
         if p1 <= 0 or p2 <= 0:
             continue
         if math.log(p1) / math.log(p2) <= rho:
             return float(w)
-    raise ValueError(f"no bucket width in [{lo},{hi}] achieves exponent {rho}")
+    raise ValueError(f"no bucket width in [0.25,64.0] achieves exponent {rho}")
 
 
 @dataclass(frozen=True)

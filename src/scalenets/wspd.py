@@ -15,12 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from .forest import NetForest
-from .geometry import PointCloud, pairwise_distances, row_distances
+from .geometry import RTOL, PointCloud, pairwise_distances, read_records, row_distances
 
 __all__ = [
     "Wspd",
     "WspdReport",
-    "diam_bound",
     "gen_wspd",
     "verify_wspd",
     "write_wspd",
@@ -45,17 +44,6 @@ class Wspd:
     t: float
 
 
-def diam_bound(forest: NetForest, node_id: int) -> float:
-    """Cheap upper bound on a node's point-set diameter.
-
-    Leaves are single points (diameter zero). Roots can fill their whole
-    cluster, which the rounded-down root level does not reflect, so they get
-    the cluster bound 2t. Everything else gets twice the covering radius.
-    All three are twice `NetForest.cover`.
-    """
-    return 2.0 * float(forest.cover[node_id])
-
-
 def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
     """Concatenation of arange(k) for every k in `lengths`."""
     ends = np.cumsum(lengths)
@@ -68,14 +56,14 @@ def gen_wspd(forest: NetForest, cloud: PointCloud, epsilon: float) -> Wspd:
     Seeds on every root pair within 7t (`NetForest.roots_within_7t`, an
     exact radius query over the root representatives, so built and loaded
     forests seed alike) and splits the node with the larger diameter bound
-    (`diam_bound`; ties split the smaller id) until the separation test
-    max(da, db) <= epsilon * dist passes. A self pair (a, a) expands to
-    every child pair (i <= j). The frontier is a stack of pair arrays,
-    popped in blocks of at most `_BLOCK` rows and tested with one batched
-    distance per block; rows within a 1e-9 relative band of the threshold
-    are decided again with the scalar norm of the representatives, so the
-    pair set does not depend on how distances are batched. Returns the
-    distinct emitted pairs as a sorted (m, 2) array with u <= v.
+    (twice `NetForest.cover`; ties split the smaller id) until the
+    separation test max(da, db) <= epsilon * dist passes. A self pair (a, a)
+    expands to every child pair (i <= j). The frontier is a stack of pair
+    arrays, popped in blocks of at most `_BLOCK` rows and tested with one
+    batched distance per block; rows within a 1e-9 relative band of the
+    threshold are decided again with the scalar norm of the representatives,
+    so the pair set does not depend on how distances are batched. Returns
+    the distinct emitted pairs as a sorted (m, 2) array with u <= v.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0,1)")
@@ -83,7 +71,7 @@ def gen_wspd(forest: NetForest, cloud: PointCloud, epsilon: float) -> Wspd:
     pts = cloud.points
     n_nodes = forest.n_nodes
     rep = forest.rep
-    bound = 2.0 * forest.cover  # diam_bound of every node
+    bound = 2.0 * forest.cover  # point-set diameter bound of every node
     offsets, flat = forest.child_ptr, forest.child_ids
     n_children = np.diff(offsets)
 
@@ -166,7 +154,6 @@ def verify_wspd(
     wspd: Wspd,
     epsilon: float,
     t: float,
-    rtol: float = 1e-9,
 ) -> WspdReport:
     """Quadratic-scan oracle for the two decomposition contracts.
 
@@ -183,7 +170,7 @@ def verify_wspd(
         pu, pv = forest.points(u), forest.points(v)
         dist = float(np.linalg.norm(pts[forest.rep[u]] - pts[forest.rep[v]]))
         diam = max(_exact_diameter(pts, pu), _exact_diameter(pts, pv))
-        if diam > epsilon * dist * (1 + rtol):
+        if diam > epsilon * dist * (1 + RTOL):
             separation.append((u, v))
         covered[np.ix_(pu, pv)] = True
         covered[np.ix_(pv, pu)] = True
@@ -208,25 +195,15 @@ def write_wspd(path: str | Path, wspd: Wspd) -> None:
 
 def read_wspd(path: str | Path) -> Wspd:
     """Inverse of `write_wspd`; rejects malformed lines and rows with u > v."""
-    text = Path(path).read_text().splitlines()
-    if not text or not text[0].startswith("wspd v1 "):
-        raise ValueError(f"{path}: not a wspd v1 file")
-    try:
-        header = dict(tok.split("=", 1) for tok in text[0].split()[2:])
-        epsilon, t = float(header["epsilon"]), float(header["t"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed header {text[0]!r}") from exc
+    (epsilon, t), body = read_records(path, "wspd", epsilon=float, t=float)
     rows: list[tuple[int, int]] = []
-    for line in text[1:]:
-        if not line.strip():
-            continue
-        toks = line.split()
+    for toks in body:
         if toks[0] != "pair" or len(toks) != 3:
-            raise ValueError(f"{path}: unexpected line {line!r}")
+            raise ValueError(f"{path}: unexpected line {' '.join(toks)!r}")
         try:
             u, v = int(toks[1]), int(toks[2])
         except ValueError as exc:
-            raise ValueError(f"{path}: unexpected line {line!r}") from exc
+            raise ValueError(f"{path}: unexpected line {' '.join(toks)!r}") from exc
         if u > v:
             raise ValueError(f"{path}: pair {u} {v} is not stored with u <= v")
         rows.append((u, v))

@@ -20,6 +20,7 @@ reads them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
@@ -28,7 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .forest import COVER_COEF, TAU, NetForest, descend_to_level
-from .geometry import Ball, PointCloud, exact_meb, pairwise_distances, row_distances
+from .geometry import (
+    RTOL, Ball, PointCloud, exact_meb, pairwise_distances, read_records, row_distances,
+)
 from .wspd import gen_wspd
 
 __all__ = [
@@ -42,6 +45,7 @@ __all__ = [
 ]
 
 _LEVEL_FLOOR = -250  # below any scale a float64 coordinate can resolve
+DELTA_MEB = 0.05  # approximation budget of the enclosing balls
 
 
 def _approx_meb_batch(pts: np.ndarray, delta_meb: float) -> tuple[np.ndarray, np.ndarray]:
@@ -65,7 +69,7 @@ def _approx_meb_batch(pts: np.ndarray, delta_meb: float) -> tuple[np.ndarray, np
     return centers, radii
 
 
-def approx_meb(points: np.ndarray, delta_meb: float = 0.05) -> Ball:
+def approx_meb(points: np.ndarray, delta_meb: float = DELTA_MEB) -> Ball:
     """Enclosing ball with radius at most (1+delta_meb) times optimal.
 
     Deterministic; always contains the input.
@@ -101,7 +105,6 @@ def gen_wssd(
     epsilon: float,
     k: int,
     t: float,
-    delta_meb: float = 0.05,
 ) -> Wssd:
     """Tiered simplicial decomposition covering radius-<=t simplices.
 
@@ -131,13 +134,10 @@ def gen_wssd(
 
     neighbours = forest.roots_within_7t(cloud)
     roots = forest.roots.tolist()
-    descend_cache: dict[tuple[int, int], list[int]] = {}
-
-    def cells_at(w: int, lam: int) -> list[int]:
-        key = (w, lam)
-        if key not in descend_cache:
-            descend_cache[key] = descend_to_level(forest, w, lam)
-        return descend_cache[key]
+    cells_at = functools.cache(functools.partial(descend_to_level, forest))
+    # the rel radius 14*tau^level must absorb two covering hops plus the
+    # search reach, hence the 14 - 2*2.2 = 9.6 margin
+    rel_margin = 14.0 - 2.0 * COVER_COEF
 
     for j in range(1, k):
         tier = tiers[j]
@@ -149,28 +149,27 @@ def gen_wssd(
         # this bound skips is skipped by its ball too: no ball is computed.
         widest = np.max([row_distances(stack[:, a], stack[:, b])
                          for a, b in combinations(range(j + 1), 2)], axis=0)
-        live = np.flatnonzero(~(widest / 2.0 * (1 - 1e-9) / (1.0 + delta_meb) - maxcovs > t))
-        centers, radii = _approx_meb_batch(stack[live], delta_meb)
-        extend = ~(radii / (1.0 + delta_meb) - maxcovs[live] > t)
+        live = np.flatnonzero(~(widest / 2.0 * (1 - 1e-9) / (1.0 + DELTA_MEB) - maxcovs > t))
+        centers, radii = _approx_meb_batch(stack[live], DELTA_MEB)
+        extend = ~(radii / (1.0 + DELTA_MEB) - maxcovs[live] > t)
         stats["skipped"] += len(tier) - int(np.count_nonzero(extend))
-        rows = tier.tolist()
-        seen: set[tuple[int, ...]] = set()
-        extended: list[tuple[int, ...]] = []
-        for i, center, r, maxcov in zip(
-            live[extend].tolist(), centers[extend], radii[extend].tolist(),
-            maxcovs[live][extend].tolist(),
+        # No seen-set: a row's sources root disjoint subtrees (distinct roots,
+        # or rel nodes, which each straddle the anchor's level, so none is
+        # another's ancestor). Its cells are thus distinct, and distinct rows
+        # give distinct extensions.
+        owners: list[int] = []
+        cells: list[int] = []
+        grown = live[extend]
+        for i, anchor, center, r, maxcov in zip(
+            grown.tolist(), tier[grown, 0].tolist(), centers[extend],
+            radii[extend].tolist(), maxcovs[grown].tolist(),
         ):
-            nodes = tuple(rows[i])
-            r_floor = r / ((1.0 + delta_meb) * (1.0 + epsilon))
+            r_floor = r / ((1.0 + DELTA_MEB) * (1.0 + epsilon))
             lam = _level_floor(epsilon * r_floor / (4.0 * 2.0 * COVER_COEF))
             cell_pad = COVER_COEF * float(TAU) ** lam
             r_search = 3.0 * (r + maxcov) + cell_pad
             need = 4.0 * r + 3.0 * maxcov + cell_pad
 
-            # the rel radius 14*tau^level must absorb two covering hops plus
-            # the search reach, hence the 14 - 2*2.2 = 9.6 margin
-            rel_margin = 14.0 - 2.0 * COVER_COEF
-            anchor = nodes[0]
             while parent[anchor] >= 0 and need > rel_margin * float(TAU) ** level[anchor]:
                 anchor = parent[anchor]
             if parent[anchor] >= 0:
@@ -185,21 +184,14 @@ def gen_wssd(
                     stats["fallback_all_roots"] += 1
                     sources = roots
 
-            cands: list[int] = []
-            seen_cells: set[int] = set()
-            for w in sources:
-                for c in cells_at(w, lam):
-                    if c not in seen_cells:
-                        seen_cells.add(c)
-                        cands.append(c)
-            cand_arr = np.array(cands, dtype=np.intp)
-            d = np.linalg.norm(pts[rep_of[cand_arr]] - center, axis=1)
-            for c in cand_arr[d <= r_search * (1 + 1e-12)].tolist():
-                extension = nodes + (c,)
-                if extension not in seen:
-                    seen.add(extension)
-                    extended.append(extension)
-        tiers[j + 1] = np.array(extended, dtype=np.intp).reshape(-1, j + 2)
+            cands = np.array([c for w in sources for c in cells_at(w, lam)], dtype=np.intp)
+            d = np.linalg.norm(pts[rep_of[cands]] - center, axis=1)
+            hit = cands[d <= r_search * (1 + 1e-12)].tolist()
+            owners += [i] * len(hit)
+            cells += hit
+        tiers[j + 1] = np.column_stack(
+            (tier[np.array(owners, dtype=np.intp)], np.array(cells, dtype=np.intp))
+        )
 
     return Wssd(tiers=tiers, epsilon=epsilon, t=float(t), k=k, stats=stats)
 
@@ -236,7 +228,6 @@ def verify_wssd(
     epsilon: float,
     k: int,
     t: float,
-    rtol: float = 1e-9,
 ) -> WssdReport:
     """Exhaustive oracle for tuple coverage and separation.
 
@@ -294,7 +285,7 @@ def verify_wssd(
             for transversal in product(*[s.tolist() for s in sets]):
                 ball = exact_meb(pts[list(transversal)])
                 d = np.linalg.norm(pts[union] - ball.center, axis=1)
-                if float(d.max()) > (1.0 + epsilon) * ball.radius * (1 + rtol):
+                if float(d.max()) > (1.0 + epsilon) * ball.radius * (1 + RTOL):
                     separation.append((nodes, transversal))
                     break
 
@@ -325,33 +316,23 @@ def read_wssd(path: str | Path) -> Wssd:
     are malformed, sit in a tier outside 1..k, hold other than j+1 node ids
     for tier j, or hold a negative id.
     """
-    text = Path(path).read_text().splitlines()
-    if not text or not text[0].startswith("wssd v1 "):
-        raise ValueError(f"{path}: not a wssd v1 file")
-    try:
-        header = dict(tok.split("=", 1) for tok in text[0].split()[2:])
-        epsilon, k, t = float(header["epsilon"]), int(header["k"]), float(header["t"])
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: malformed header {text[0]!r}") from exc
+    (epsilon, k, t), body = read_records(path, "wssd", epsilon=float, k=int, t=float)
     if k < 1:
         raise ValueError(f"{path}: k={k} must be >= 1")
     rows: dict[int, list[list[int]]] = {}
-    for line in text[1:]:
-        if not line.strip():
-            continue
-        toks = line.split()
+    for toks in body:
         if toks[0] != "tuple" or len(toks) < 2:
-            raise ValueError(f"{path}: malformed line {line!r}")
+            raise ValueError(f"{path}: malformed line {' '.join(toks)!r}")
         try:
             j, nodes = int(toks[1]), [int(x) for x in toks[2:]]
         except ValueError as exc:
-            raise ValueError(f"{path}: malformed line {line!r}") from exc
+            raise ValueError(f"{path}: malformed line {' '.join(toks)!r}") from exc
         if not 1 <= j <= k:
             raise ValueError(f"{path}: tier {j} outside 1..k={k}")
         if len(nodes) != j + 1:
             raise ValueError(f"{path}: tier {j} tuple with {len(nodes)} nodes")
         if min(nodes) < 0:
-            raise ValueError(f"{path}: negative node id in {line!r}")
+            raise ValueError(f"{path}: negative node id in {' '.join(toks)!r}")
         rows.setdefault(j, []).append(nodes)
     tiers = {j: np.array(r, dtype=np.intp).reshape(-1, j + 1) for j, r in rows.items()}
     return Wssd(tiers=tiers, epsilon=epsilon, t=t, k=k)

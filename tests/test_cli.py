@@ -191,6 +191,40 @@ def test_rejected_parameter_is_an_error_line(tmp_path, args):
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command, n, extra", [
+    ("wspd", 501, []),
+    ("wssd", 63, ["--k", "2"]),
+    ("cech", 41, []),
+])
+def test_verify_size_gate_is_an_error_line(tmp_path, command, n, extra):
+    # one past the size the command's oracle accepts
+    pts, out = tmp_path / "pts.txt", tmp_path / "o.txt"
+    run(["gen-data", "--kind", "uniform", "--n", str(n), "--d", "2",
+         "--seed", "2", "--output", str(pts)])
+    proc = run_process([command, "--input", str(pts), "--output", str(out), "--t", "0.1",
+                        "--epsilon", "0.5", *extra, "--seed", "1", "--exact-nn", "--verify"])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert f"oracle for n <= {n - 1}" in proc.stderr
+    assert not out.exists()
+
+
+def test_gen_data_noise_reaches_the_generator(tmp_path):
+    args = ["gen-data", "--kind", "affine", "--k", "2", "--d", "4", "--n", "50", "--seed", "1"]
+    plain, noisy = tmp_path / "plain.txt", tmp_path / "noisy.txt"
+    assert run(args + ["--output", str(plain)]) == 0
+    assert run(args + ["--noise", "0.5", "--output", str(noisy)]) == 0
+    assert sha(plain) != sha(noisy)
+
+
+def test_gen_data_noise_without_a_noise_parameter_is_an_error(tmp_path, capsys):
+    out = tmp_path / "pts.txt"
+    assert run(["gen-data", "--kind", "uniform", "--n", "10", "--d", "2", "--noise", "0.5",
+                "--seed", "1", "--output", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: invalid parameters for generator")
+    assert not out.exists()
+
+
 def test_dim_estimate_output(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     run(["gen-data", "--kind", "uniform", "--n", "40", "--d", "2",

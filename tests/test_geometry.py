@@ -17,7 +17,9 @@ from scalenets.geometry import (
     generate,
     meb_radii,
     pairwise_distances,
+    parse_fields,
     read_points,
+    read_records,
     restricted_dim,
     write_points,
 )
@@ -331,6 +333,30 @@ def test_point_file_bad_dims(tmp_path):
     path.write_text("0 0\n1 1 1\n")
     with pytest.raises(ValueError):
         read_points(path)
+
+
+def test_read_records(tmp_path):
+    path = tmp_path / "rec.txt"
+    path.write_text("demo v1 extra=x n=3 t=0.5\n\nrow a  b\n   \nrow c\n")
+    assert read_records(path, "demo", t=float, n=int) == ([0.5, 3], [["row", "a", "b"], ["row", "c"]])
+    for text, message in [
+        ("", "not a demo v1 file"),
+        ("demo v2 n=3 t=0.5\n", "not a demo v1 file"),
+        ("demo v1 n=3\n", "malformed header"),
+        ("demo v1 n=x t=0.5\n", "malformed header"),
+        ("demo v1 n=3 t\n", "malformed header"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_records(path, "demo", n=int, t=float)
+
+
+def test_parse_fields():
+    assert parse_fields(["b=2", "a=x=y", "c=1"], {"a": str, "b": int}) == ["x=y", 2]
+    with pytest.raises(KeyError):
+        parse_fields(["a=1"], {"b": int})
+    with pytest.raises(ValueError):
+        parse_fields(["a"], {"a": str})
 
 
 def test_exact_near_neighbours_matches_brute():

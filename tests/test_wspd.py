@@ -4,7 +4,7 @@ import pytest
 import scalenets.wspd as wspd_mod
 from scalenets.forest import build_forest
 from scalenets.geometry import PointCloud, generate
-from scalenets.wspd import Wspd, diam_bound, gen_wspd, read_wspd, verify_wspd, write_wspd
+from scalenets.wspd import Wspd, gen_wspd, read_wspd, verify_wspd, write_wspd
 
 from conftest import quantile_scale
 
@@ -33,7 +33,7 @@ def reference_pairs(forest, cloud, epsilon):
                 for j in range(i, len(ch)):
                     stack.append((min(ch[i], ch[j]), max(ch[i], ch[j])))
             continue
-        da, db = diam_bound(forest, a), diam_bound(forest, b)
+        da, db = 2.0 * forest.cover[a], 2.0 * forest.cover[b]
         dist = float(np.linalg.norm(pts[forest.rep[a]] - pts[forest.rep[b]]))
         if max(da, db) <= epsilon * dist:
             out.add((a, b))
@@ -80,7 +80,7 @@ def test_exact_separation_tie_is_emitted():
     cloud = PointCloud(np.array([[0.0], [0.5], [4.0], [4.5]]))
     forest = build(cloud, 1.0)
     r0, r1 = forest.roots
-    assert diam_bound(forest, r0) == diam_bound(forest, r1) == 0.5 * 4.0
+    assert 2 * forest.cover[r0] == 2 * forest.cover[r1] == 0.5 * 4.0
     wspd = assert_matches_reference(forest, cloud, 0.5, "tie")
     assert [min(r0, r1), max(r0, r1)] in wspd.pairs.tolist()
 
@@ -178,9 +178,9 @@ def test_leaf_and_root_diameter_bounds():
     forest = build(cloud, 1.0)
     for v in range(forest.n_nodes):
         if not forest.children_of(v):
-            assert diam_bound(forest, v) == 0.0
+            assert 2 * forest.cover[v] == 0.0
         elif forest.parent[v] < 0:
-            assert diam_bound(forest, v) == 2.0
+            assert 2 * forest.cover[v] == 2.0
 
 
 def test_wspd_file_roundtrip(tmp_path, monkeypatch):

@@ -14,7 +14,7 @@ from scalenets.wssd import (
     write_wssd,
 )
 
-from conftest import quantile_scale
+from conftest import DEEP_CLOUDS, quantile_scale, structural_corpora
 
 
 def build2t(cloud, t):
@@ -200,6 +200,27 @@ def test_tier2_size_slope_at_constant_density(seed):
         sizes.append(len(wssd.tiers[2]))
     slope = float(np.polyfit(np.log(ns), np.log(sizes), 1)[0])
     assert 0.8 <= slope <= 1.2, (slope, sizes)
+
+
+def assert_tiers_distinct(cloud, t, k, label):
+    forest = build2t(cloud, t)
+    wssd = gen_wssd(forest, cloud, 0.5, k, t)
+    assert sorted(wssd.tiers) == list(range(1, k + 1)), label
+    for j, tier in wssd.tiers.items():
+        keys = np.ravel_multi_index(tier.T, (forest.n_nodes,) * (j + 1))
+        assert len(np.unique(keys)) == len(tier), f"{label} tier {j}"
+
+
+def test_tier_rows_are_distinct():
+    # extension keeps no seen-set: distinct rows gain distinct cells, since
+    # the cells come from disjoint subtrees. Tier 3 of the deep clouds other
+    # than the line runs to millions of tuples, so they stop at tier 2
+    for name, cloud, t in structural_corpora(30):
+        assert_tiers_distinct(cloud, t, 3, name)
+    for name, cloud, t in DEEP_CLOUDS:
+        assert_tiers_distinct(cloud, t / 2, 2, name)
+    name, cloud, t = DEEP_CLOUDS[0]
+    assert_tiers_distinct(cloud, t / 2, 3, name)
 
 
 def test_wssd_file_roundtrip(tmp_path):
