@@ -25,7 +25,7 @@ t = float(np.quantile(d[d > 0], 0.25))
 print(f"n={cloud.n}, t={t:.3f}")
 
 forest = build_forest(cloud, 2 * t, nn="exact")  # decompositions live on a 2t forest
-wssd = gen_wssd(forest, cloud, 0.5, 2, t)
+wssd = gen_wssd(forest, cloud, 0.5, 2)
 # tier j is one (tuples, j+1) array of forest node ids
 print("tuple tiers:", {j: v.shape for j, v in wssd.tiers.items()})
 print("first tier-2 tuple:", wssd.tiers[2][0].tolist())

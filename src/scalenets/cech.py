@@ -59,6 +59,7 @@ __all__ = [
 # depth margin for the internal decomposition; covering tuples must clear
 # the level gate h(alpha) even when the root level rounded down a full step
 DEPTH_FACTOR = 42.0
+ORACLE_MAX_N = 40  # largest cloud `verify_sandwich` accepts
 
 
 def choose_h(epsilon: float, alpha: float, rl: int) -> int:
@@ -131,18 +132,18 @@ def build_filtration(
     cloud: PointCloud,
     wssd: Wssd,
     epsilon: float,
-    t: float,
     grid: np.ndarray | None = None,
 ) -> FiltrationOutput:
-    """One approximation complex per grid scale, emitted independently.
+    """One approximation complex per grid scale in (0, t], t = wssd.t.
 
-    The decomposition must cover radius-<=t simplices on this forest and be
-    built at least as deep as `epsilon` (a smaller epsilon of its own).
+    The decomposition must be built on this forest and at least as deep as
+    `epsilon` (a smaller epsilon of its own).
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError("epsilon must lie in (0,1]")
     if wssd.epsilon > epsilon + 1e-12:
         raise ValueError("decomposition must be built at least as deep as epsilon")
+    t = wssd.t
     if grid is None:
         grid = default_grid(cloud, epsilon, t)
     grid = np.asarray(grid, dtype=np.float64)
@@ -195,7 +196,7 @@ def build_filtration(
                 simplices=simplices,
             )
         )
-    return FiltrationOutput(slices=slices, epsilon=epsilon, t=float(t))
+    return FiltrationOutput(slices=slices, epsilon=epsilon, t=t)
 
 
 def _slice_keys(rows: list[np.ndarray]) -> list[np.ndarray]:
@@ -237,8 +238,8 @@ def build_cech_pipeline(
 ) -> tuple[NetForest, Wssd, FiltrationOutput]:
     """Forest at 2t, decomposition at epsilon/DEPTH_FACTOR, then the slices."""
     forest = build_forest(cloud, 2.0 * t, seed, nn=nn, rho=rho, delta=delta)
-    wssd = gen_wssd(forest, cloud, epsilon / DEPTH_FACTOR, k, t)
-    output = build_filtration(forest, cloud, wssd, epsilon, t, grid)
+    wssd = gen_wssd(forest, cloud, epsilon / DEPTH_FACTOR, k)
+    output = build_filtration(forest, cloud, wssd, epsilon, grid)
     return forest, wssd, output
 
 
@@ -270,8 +271,8 @@ def verify_sandwich(
     to a simplex present in the slice. Upper: every slice simplex has
     representative enclosing radius at most (1+epsilon) * alpha.
     """
-    if cloud.n > 40:
-        raise ValueError("verify_sandwich is an oracle for n <= 40")
+    if cloud.n > ORACLE_MAX_N:
+        raise ValueError(f"verify_sandwich is an oracle for n <= {ORACLE_MAX_N}")
     pts = cloud.points
 
     radius: dict[tuple[int, ...], float] = {}

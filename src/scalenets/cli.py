@@ -8,6 +8,7 @@ Every command is deterministic given --seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -38,12 +39,18 @@ def _build_forest_from_args(args, cloud, t: float) -> _forest.NetForest:
     return _forest.build_forest(cloud, t, seed=args.seed, nn=mode, rho=args.rho, delta=args.delta)
 
 
+def _check_oracle_size(args, cloud, limit: int, oracle: str) -> None:
+    """Refuse `--verify` above the oracle's size limit before building anything."""
+    if args.verify and cloud.n > limit:
+        raise CommandError(f"{oracle} is an oracle for n <= {limit}")
+
+
 def cmd_gen_data(args) -> int:
     params = {"n": args.n, "d": args.d, "seed": args.seed}
     if args.kind == "affine":
-        params["flat_dim"] = args.flat_dim if args.flat_dim is not None else args.k
-        if params["flat_dim"] is None:
-            raise CommandError("affine needs --flat-dim (or --k)")
+        if args.k is None:
+            raise CommandError("affine needs --k")
+        params["flat_dim"] = args.k
     if args.kind == "curve":
         params["spacing"] = args.spacing
     if args.kind == "clustered":
@@ -59,8 +66,6 @@ def cmd_gen_data(args) -> int:
 
 def cmd_build_forest(args) -> int:
     cloud = _load(_geometry.read_points, "points", args.input)
-    if args.t <= 0:
-        raise CommandError("--t must be positive")
     forest = _build_forest_from_args(args, cloud, args.t)
     if args.verify:
         bad = _forest.check_forest(forest, cloud)
@@ -75,7 +80,7 @@ def cmd_build_forest(args) -> int:
 def _forest_for(args, cloud, scale: float) -> _forest.NetForest:
     if args.forest:
         forest = _load(_forest.read_forest, "forest", args.forest)
-        if abs(forest.t - scale) > 1e-9 * max(forest.t, scale):
+        if not math.isclose(forest.t, scale, rel_tol=1e-9):
             raise CommandError(
                 f"forest file built at t={forest.t}, this command needs t={scale}"
             )
@@ -87,6 +92,7 @@ def _forest_for(args, cloud, scale: float) -> _forest.NetForest:
 
 def cmd_wspd(args) -> int:
     cloud = _load(_geometry.read_points, "points", args.input)
+    _check_oracle_size(args, cloud, _wspd.ORACLE_MAX_N, "verify_wspd")
     forest = _forest_for(args, cloud, args.t)
     wspd = _wspd.gen_wspd(forest, cloud, args.epsilon)
     if args.verify:
@@ -102,8 +108,9 @@ def cmd_wspd(args) -> int:
 
 def cmd_wssd(args) -> int:
     cloud = _load(_geometry.read_points, "points", args.input)
+    _check_oracle_size(args, cloud, _wssd.ORACLE_MAX_N, "verify_wssd")
     forest = _forest_for(args, cloud, 2.0 * args.t)
-    wssd = _wssd.gen_wssd(forest, cloud, args.epsilon, args.k, args.t)
+    wssd = _wssd.gen_wssd(forest, cloud, args.epsilon, args.k)
     if args.verify:
         report = _wssd.verify_wssd(cloud, forest, wssd, args.epsilon, args.k, args.t)
         if not report.ok:
@@ -117,6 +124,7 @@ def cmd_wssd(args) -> int:
 
 def cmd_cech(args) -> int:
     cloud = _load(_geometry.read_points, "points", args.input)
+    _check_oracle_size(args, cloud, _cech.ORACLE_MAX_N, "verify_sandwich")
     grid = None
     if args.grid:
         try:
@@ -185,7 +193,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, default=None, help="flat dimension for affine")
-    p.add_argument("--flat-dim", type=int, default=None)
     p.add_argument("--spacing", type=float, default=0.05)
     p.add_argument("--clusters", type=int, default=5)
     p.add_argument("--separation", type=float, default=4.0)

@@ -78,10 +78,11 @@ def _csr_ptr(owner: np.ndarray, size: int) -> np.ndarray:
 class NetForest:
     """A net-forest as arrays over node ids, which are a DFS preorder.
 
-    Made from `parent` (-1 at roots), `level`, `rep` and the rel lists in
-    CSR form (node v's list is `rel_ids[rel_ptr[v]:rel_ptr[v + 1]]`).
-    Everything else is derived:
+    Made from `parent` (-1 at roots), `level`, `rep`, the rel lists in CSR
+    form (node v's list is `rel_ids[rel_ptr[v]:rel_ptr[v + 1]]`) and the
+    scale cap `t`. Everything else is derived:
 
+        root_level            `root_level(t)`, the level of every root
         roots                 root ids, ascending
         child_ptr, child_ids  children of every node, ascending, in CSR form
         size                  the subtree of v is the id range [v, v + size[v])
@@ -97,14 +98,14 @@ class NetForest:
     Raises ValueError when the arrays do not describe such a forest.
     """
 
-    def __init__(self, parent, level, rep, rel_ptr, rel_ids, t: float, rl: int):
+    def __init__(self, parent, level, rep, rel_ptr, rel_ids, t: float):
         self.parent = np.asarray(parent, dtype=np.intp)
         self.level = np.asarray(level, dtype=np.int64)
         self.rep = np.asarray(rep, dtype=np.intp)
         self.rel_ptr = np.asarray(rel_ptr, dtype=np.intp)
         self.rel_ids = np.asarray(rel_ids, dtype=np.intp)
         self.t = float(t)
-        self.root_level = int(rl)
+        self.root_level = root_level(self.t)
         m = self.parent.size
         if np.any((self.rel_ids < 0) | (self.rel_ids >= m)):
             raise ValueError("rel id out of range")
@@ -128,6 +129,8 @@ class NetForest:
             raise ValueError("node ids are not a preorder")
         n_roots = int(np.count_nonzero(self.parent < 0))
         self.roots = order[:n_roots]
+        if np.any(self.level[self.roots] != self.root_level):
+            raise ValueError(f"a root is not at root_level(t={self.t!r}) = {self.root_level}")
         self.child_ids = order[n_roots:]
         self.child_ptr = _csr_ptr(self.parent[self.child_ids], m)
 
@@ -184,10 +187,11 @@ class NetForest:
 
 
 def root_level(t: float) -> int:
-    """floor(log_11((10/22) t)), nudged so exact powers round correctly."""
-    if t <= 0:
-        raise ValueError("scale cap t must be positive")
+    """floor(log_11((10/22) t)), nudged so exact powers round correctly;
+    ValueError unless (10/22) t is positive and finite."""
     x = (TAU - 1.0) / (2.0 * TAU) * t
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"scale cap t={t!r} must be positive and finite")
     lev = math.floor(math.log(x, TAU))
     while TAU ** (lev + 1) <= x * (1 + _LOG_RTOL):
         lev += 1
@@ -411,6 +415,7 @@ def build_forest(
     """
     if nn not in ("exact", "lsh"):
         raise ValueError("nn must be 'exact' or 'lsh'")
+    rl = root_level(t)
 
     def primitive(points: np.ndarray, r: float, draw: int):
         if nn == "exact" or len(points) < 2:
@@ -423,13 +428,12 @@ def build_forest(
     net_pts = cloud.points[np.asarray(nets, dtype=np.intp)]
     root_rel = build_root_rel(net_pts, t, primitive(net_pts, 7.0 * t, seed + 1))
 
-    rl = root_level(t)
     parent, level, rep = build_cluster_tree(cloud, netpoint, rl)
     # roots come in `nets` order; root rel lists only, augment_rel fills the rest
     roots = np.flatnonzero(parent < 0)
     rel_owner = np.repeat(roots, [len(r) for r in root_rel])
     rel_ids = roots[np.concatenate(root_rel)]
-    forest = NetForest(parent, level, rep, _csr_ptr(rel_owner, parent.size), rel_ids, t, rl)
+    forest = NetForest(parent, level, rep, _csr_ptr(rel_owner, parent.size), rel_ids, t)
     augment_rel(forest, cloud)
     return forest
 
@@ -649,8 +653,9 @@ def read_forest(path: str | Path) -> NetForest:
 
     Raises ValueError for malformed lines, ids that are not dense, children
     lists that disagree with the parent fields, ids that are not a DFS
-    preorder, rel or rep ids out of range, and leaf reps that are not
-    exactly the points 0..n-1 of the header.
+    preorder, rel or rep ids out of range, leaf reps that are not exactly
+    the points 0..n-1 of the header, a t without a root level, and a root
+    line or header `root_level` other than `root_level(t)`.
     """
     (n, t, tau, rl), body = read_records(path, "netforest", n=int, t=float, tau=int, root_level=int)
     if tau != TAU:
@@ -681,7 +686,7 @@ def read_forest(path: str | Path) -> NetForest:
     _, parent, level, rep, children, rel = zip(*rows) if rows else ((),) * 6
     rel_ptr = np.cumsum([0] + [len(r) for r in rel])
     try:
-        forest = NetForest(parent, level, rep, rel_ptr, [r for rs in rel for r in rs], t, rl)
+        forest = NetForest(parent, level, rep, rel_ptr, [r for rs in rel for r in rs], t)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     flat = [c for cs in children for c in cs]
@@ -690,4 +695,6 @@ def read_forest(path: str | Path) -> NetForest:
         raise ValueError(f"{path}: children lists disagree with the parent fields")
     if forest.n != n:
         raise ValueError(f"{path}: the leaves hold {forest.n} points, header says n={n}")
+    if forest.root_level != rl:
+        raise ValueError(f"{path}: header root_level={rl} is not root_level(t={t!r})")
     return forest

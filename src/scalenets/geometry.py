@@ -305,6 +305,8 @@ def generate_affine(
     """Uniform sample of a random flat_dim-flat embedded in R^d."""
     if not 1 <= flat_dim <= d:
         raise ValueError("need 1 <= flat_dim <= d")
+    if noise < 0:
+        raise ValueError("noise must be >= 0")
     rng = np.random.default_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((d, flat_dim)))
     coords = rng.uniform(-extent, extent, size=(n, flat_dim))
@@ -320,6 +322,8 @@ def generate_sphere(
     """Points on (or near) the origin-centered sphere of the given radius."""
     if d < 2:
         raise ValueError("sphere needs d >= 2")
+    if noise < 0:
+        raise ValueError("noise must be >= 0")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     x /= np.linalg.norm(x, axis=1, keepdims=True)

@@ -33,6 +33,7 @@ _BLOCK = 8192
 _TIE_RTOL = 1e-9
 # pair lines formatted per write
 _WRITE_CHUNK = 65536
+ORACLE_MAX_N = 500  # largest cloud `verify_wspd` accepts
 
 
 @dataclass
@@ -160,8 +161,8 @@ def verify_wspd(
     (a) every emitted pair is well-separated under exact point-set
     diameters; (b) every point pair within t is covered. Desk scale only.
     """
-    if cloud.n > 500:
-        raise ValueError("verify_wspd is an oracle for n <= 500")
+    if cloud.n > ORACLE_MAX_N:
+        raise ValueError(f"verify_wspd is an oracle for n <= {ORACLE_MAX_N}")
     pts = cloud.points
 
     separation: list[tuple[int, int]] = []

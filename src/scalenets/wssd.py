@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forest import COVER_COEF, TAU, NetForest, descend_to_level
+from .forest import COVER_COEF, REL_COEF, TAU, NetForest, descend_to_level
 from .geometry import (
     RTOL, Ball, PointCloud, exact_meb, pairwise_distances, read_records, row_distances,
 )
@@ -46,6 +46,7 @@ __all__ = [
 
 _LEVEL_FLOOR = -250  # below any scale a float64 coordinate can resolve
 DELTA_MEB = 0.05  # approximation budget of the enclosing balls
+ORACLE_MAX_N = 62  # largest cloud `verify_wssd` accepts
 
 
 def _approx_meb_batch(pts: np.ndarray, delta_meb: float) -> tuple[np.ndarray, np.ndarray]:
@@ -99,45 +100,35 @@ def _level_floor(value: float) -> int:
     return max(_LEVEL_FLOOR, math.floor(math.log(value, TAU) + 1e-12))
 
 
-def gen_wssd(
-    forest: NetForest,
-    cloud: PointCloud,
-    epsilon: float,
-    k: int,
-    t: float,
-) -> Wssd:
-    """Tiered simplicial decomposition covering radius-<=t simplices.
+def gen_wssd(forest: NetForest, cloud: PointCloud, epsilon: float, k: int) -> Wssd:
+    """Tiered simplicial decomposition covering radius-<=t simplices, t = forest.t / 2.
 
-    The forest must have been built at scale 2t. A tuple is extended only
-    if its approximate enclosing ball still allows a witnessed simplex of
-    radius at most t; the new nodes are the cells at a level small enough
-    to keep every extension well-separated, gathered through the rel lists
-    of an ancestor (or through the roots within 7*(2t), from
-    `NetForest.roots_within_7t`, when the required ancestor level exceeds
-    the root level).
+    A tuple is extended only if its approximate enclosing ball still allows
+    a witnessed simplex of radius at most t; the new nodes are the cells at
+    a level small enough to keep every extension well-separated, gathered
+    through the rel lists of an ancestor (or through the roots within
+    7 * forest.t, from `NetForest.roots_within_7t`, when the required
+    ancestor level exceeds the root level).
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0,1)")
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not math.isclose(forest.t, 2.0 * t, rel_tol=1e-9):
-        raise ValueError(
-            f"forest must be built at scale 2t={2.0 * t}, got {forest.t}"
-        )
+    t = forest.t / 2.0
     pts = cloud.points
     rep_of = forest.rep
     parent, level = forest.parent.tolist(), forest.level.tolist()
+    # fallback_all_roots stays 0: a capped tuple's root neighbours suffice
     stats = {"skipped": 0, "capped": 0, "fallback_all_roots": 0}
 
     base = gen_wspd(forest, cloud, epsilon / 2.0)
     tiers: dict[int, np.ndarray] = {1: base.pairs}
 
     neighbours = forest.roots_within_7t(cloud)
-    roots = forest.roots.tolist()
     cells_at = functools.cache(functools.partial(descend_to_level, forest))
     # the rel radius 14*tau^level must absorb two covering hops plus the
     # search reach, hence the 14 - 2*2.2 = 9.6 margin
-    rel_margin = 14.0 - 2.0 * COVER_COEF
+    rel_margin = REL_COEF - 2.0 * COVER_COEF
 
     for j in range(1, k):
         tier = tiers[j]
@@ -175,14 +166,14 @@ def gen_wssd(
             if parent[anchor] >= 0:
                 sources = forest.rel_of(anchor)
             else:
-                # the walk ended at the root of the tuple's first node
+                # The walk ended at the root of the tuple's first node. Its
+                # roots within 7 * forest.t hold every source: non-root covers
+                # are at most forest.t/11, and no tuple holding a non-leaf root
+                # passes the skip test (its WSPD pair is >= 4*forest.t/eps apart),
+                # so 2*forest.t + 4r + 3*maxcov + cell_pad <= (2 + 4.2*(0.5 +
+                # 1/11) + 3/11 + 0.04) * forest.t, about 4.8 * forest.t.
                 stats["capped"] += 1
-                need_root = 2.0 * forest.t + 4.0 * r + 3.0 * maxcov + cell_pad
-                if need_root <= 7.0 * forest.t:
-                    sources = neighbours[anchor]
-                else:
-                    stats["fallback_all_roots"] += 1
-                    sources = roots
+                sources = neighbours[anchor]
 
             cands = np.array([c for w in sources for c in cells_at(w, lam)], dtype=np.intp)
             d = np.linalg.norm(pts[rep_of[cands]] - center, axis=1)
@@ -193,7 +184,7 @@ def gen_wssd(
             (tier[np.array(owners, dtype=np.intp)], np.array(cells, dtype=np.intp))
         )
 
-    return Wssd(tiers=tiers, epsilon=epsilon, t=float(t), k=k, stats=stats)
+    return Wssd(tiers=tiers, epsilon=epsilon, t=t, k=k, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +230,8 @@ def verify_wssd(
     (1+epsilon). A sufficient diameter-versus-gap test short-circuits the
     transversal enumeration where it provably passes.
     """
-    if cloud.n > 62:
-        raise ValueError("verify_wssd is an oracle for n <= 62")
+    if cloud.n > ORACLE_MAX_N:
+        raise ValueError(f"verify_wssd is an oracle for n <= {ORACLE_MAX_N}")
     pts = cloud.points
 
     node_mask: dict[int, int] = {}

@@ -141,6 +141,6 @@ def reference_forest(cloud: PointCloud, t: float) -> NetForest:
     parent = np.where(parent >= 0, parent + np.repeat(roots, sizes), -1)
     rel_owner = np.repeat(roots, [len(r) for r in root_rel])
     rel_ptr = np.concatenate(([0], np.cumsum(np.bincount(rel_owner, minlength=parent.size))))
-    forest = NetForest(parent, level, rep, rel_ptr, roots[np.concatenate(root_rel)], t, rl)
+    forest = NetForest(parent, level, rep, rel_ptr, roots[np.concatenate(root_rel)], t)
     rel_fill(forest, cloud)
     return forest

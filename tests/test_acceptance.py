@@ -246,7 +246,7 @@ def test_criterion_08_wssd():
 
     for idx, (cloud, t, k) in enumerate(cases):
         forest = forest_mod.build_forest(cloud, 2 * t, nn="exact")
-        wssd = wssd_mod.gen_wssd(forest, cloud, 0.5, k, t)
+        wssd = wssd_mod.gen_wssd(forest, cloud, 0.5, k)
         capped_seen = capped_seen or wssd.stats["capped"] > 0
         rep = wssd_mod.verify_wssd(cloud, forest, wssd, 0.5, k, t)
         if not rep.ok:

@@ -41,8 +41,8 @@ def test_two_point_edge_thresholds():
     forest = build_forest(cloud, 2 * t, nn="exact")
     # fine coarsening: tiny epsilon keeps cells at the leaves
     eps = 0.01
-    wssd = gen_wssd(forest, cloud, eps / 42, 1, t)
-    out = build_filtration(forest, cloud, wssd, eps, t, np.array([0.49, 0.5, 0.9]))
+    wssd = gen_wssd(forest, cloud, eps / 42, 1)
+    out = build_filtration(forest, cloud, wssd, eps, np.array([0.49, 0.5, 0.9]))
     by_alpha = {round(s.alpha, 3): s.simplices for s in out.slices}
     assert by_alpha[0.49] == set()        # radius 0.5 > (1+eps/2)*0.49
     assert by_alpha[0.5] == {(0, 1)}      # radius 0.5 <= (1+eps/2)*0.5
@@ -65,22 +65,22 @@ def test_grid_validation():
     cloud = generate("uniform", n=10, d=2, seed=1)
     t = 0.4
     forest = build_forest(cloud, 2 * t, nn="exact")
-    wssd = gen_wssd(forest, cloud, 0.5 / 42, 2, t)
+    wssd = gen_wssd(forest, cloud, 0.5 / 42, 2)
     with pytest.raises(ValueError):
-        build_filtration(forest, cloud, wssd, 0.5, t, np.array([0.2, 0.8]))  # > t
+        build_filtration(forest, cloud, wssd, 0.5, np.array([0.2, 0.8]))  # > t
     with pytest.raises(ValueError):
-        build_filtration(forest, cloud, wssd, 0.5, t, np.array([0.3, 0.2]))  # not increasing
+        build_filtration(forest, cloud, wssd, 0.5, np.array([0.3, 0.2]))  # not increasing
     with pytest.raises(ValueError):
-        build_filtration(forest, cloud, wssd, 0.5, t, np.array([-0.1, 0.2]))
+        build_filtration(forest, cloud, wssd, 0.5, np.array([-0.1, 0.2]))
 
 
 def test_depth_requirement_enforced():
     cloud = generate("uniform", n=10, d=2, seed=1)
     t = 0.4
     forest = build_forest(cloud, 2 * t, nn="exact")
-    shallow = gen_wssd(forest, cloud, 0.9, 2, t)
+    shallow = gen_wssd(forest, cloud, 0.9, 2)
     with pytest.raises(ValueError):
-        build_filtration(forest, cloud, shallow, 0.5, t, np.array([0.2]))
+        build_filtration(forest, cloud, shallow, 0.5, np.array([0.2]))
 
 
 def test_default_grid_shape():
@@ -91,6 +91,10 @@ def test_default_grid_shape():
     assert grid[0] > 0 and grid[-1] <= t
     ratios = grid[1:] / grid[:-1]
     assert np.allclose(ratios, 1 + 0.5 / 7)
+    # a pipeline run without a grid takes this one
+    _, _, out = build_cech_pipeline(cloud, 0.5, 2, t, nn="exact")
+    assert out == build_cech_pipeline(cloud, 0.5, 2, t, nn="exact", grid=grid)[2]
+    assert verify_sandwich(cloud, out, 0.5, 2).ok
 
 
 def matrix_grid(cloud, epsilon, t):
@@ -219,10 +223,10 @@ def reference_slices(forest, cloud, wssd, epsilon, grid):
 
 def assert_slices_match_reference(cloud, t, k, label, epsilon=0.5, grid=None):
     forest = build_forest(cloud, 2 * t, nn="exact")
-    wssd = gen_wssd(forest, cloud, epsilon / 42, k, t)
+    wssd = gen_wssd(forest, cloud, epsilon / 42, k)
     if grid is None:
         grid = np.geomspace(0.15 * t, t, 4)
-    out = build_filtration(forest, cloud, wssd, epsilon, t, grid)
+    out = build_filtration(forest, cloud, wssd, epsilon, grid)
     got = [(sl.alpha, sl.h, sl.vertex_map, sl.simplices) for sl in out.slices]
     assert got == reference_slices(forest, cloud, wssd, epsilon, grid), label
 
@@ -328,13 +332,13 @@ def test_band_decides_radii_on_the_threshold(monkeypatch, shift):
     cloud = PointCloud(collinear_cloud(20).points + shift)
     t, epsilon = quantile_scale(cloud, 0.3), 0.5
     forest = build_forest(cloud, 2 * t, nn="exact")
-    wssd = gen_wssd(forest, cloud, epsilon / 42, 2, t)
+    wssd = gen_wssd(forest, cloud, epsilon / 42, 2)
     grid, split, on_oracle = threshold_grid(forest, cloud, wssd, epsilon, t)
     assert split >= 3 and on_oracle >= 3, (split, on_oracle)
 
     calls = []
     monkeypatch.setattr(cech_mod, "exact_meb", lambda p: calls.append(1) or exact_meb(p))
-    out = build_filtration(forest, cloud, wssd, epsilon, t, grid)
+    out = build_filtration(forest, cloud, wssd, epsilon, grid)
     monkeypatch.undo()
     assert len(calls) >= len(grid)
     got = [(sl.alpha, sl.h, sl.vertex_map, sl.simplices) for sl in out.slices]

@@ -146,11 +146,12 @@ def test_forest_scale_mismatch_rejected(tmp_path):
     forest = tmp_path / "forest.txt"
     run(["build-forest", "--input", str(pts), "--output", str(forest),
          "--t", "0.5", "--seed", "3", "--exact-nn"])
-    assert run(
-        ["wspd", "--input", str(pts), "--forest", str(forest),
-         "--output", str(tmp_path / "o.wspd"), "--t", "0.3",
-         "--epsilon", "0.5", "--seed", "3"]
-    ) == 1
+    for t in ("0.3", "inf", "nan"):
+        assert run(
+            ["wspd", "--input", str(pts), "--forest", str(forest),
+             "--output", str(tmp_path / "o.wspd"), "--t", t,
+             "--epsilon", "0.5", "--seed", "3"]
+        ) == 1
 
 
 def test_forest_scale_within_tolerance_accepted(tmp_path):
@@ -168,6 +169,13 @@ def test_forest_scale_within_tolerance_accepted(tmp_path):
          "--t", "0.30000000003", "--epsilon", "0.5", "--seed", "3"]
     ) == 0
     assert out.read_text().startswith("wspd v1 epsilon=0.5 t=%.17g\n" % 0.3)
+    # the same forest serves a wssd at half its scale
+    out = tmp_path / "o.wssd"
+    assert run(
+        ["wssd", "--input", str(pts), "--forest", str(forest), "--output", str(out),
+         "--t", "0.15000000001", "--epsilon", "0.5", "--k", "1", "--seed", "3"]
+    ) == 0
+    assert out.read_text().startswith("wssd v1 epsilon=0.5 k=1 t=%.17g\n" % 0.15)
 
 
 @pytest.mark.parametrize(
@@ -178,6 +186,8 @@ def test_forest_scale_within_tolerance_accepted(tmp_path):
         ["wssd", "--t", "0.5", "--epsilon", "0.5", "--k", "0"],
         ["wspd", "--t", "0", "--epsilon", "0.5"],
         ["build-forest", "--t", "0.5", "--rho", "1.5"],
+        ["build-forest", "--t", "inf", "--exact-nn"],
+        ["wspd", "--t", "inf", "--epsilon", "0.5"],
     ],
     ids=" ".join,
 )
@@ -196,16 +206,25 @@ def test_rejected_parameter_is_an_error_line(tmp_path, args):
     ("wssd", 63, ["--k", "2"]),
     ("cech", 41, []),
 ])
-def test_verify_size_gate_is_an_error_line(tmp_path, command, n, extra):
-    # one past the size the command's oracle accepts
+def test_verify_size_gate_is_an_error_line(tmp_path, monkeypatch, capsys, command, n, extra):
+    # one past the size the command's oracle accepts; the gate comes before
+    # any forest is built or read
     pts, out = tmp_path / "pts.txt", tmp_path / "o.txt"
     run(["gen-data", "--kind", "uniform", "--n", str(n), "--d", "2",
          "--seed", "2", "--output", str(pts)])
-    proc = run_process([command, "--input", str(pts), "--output", str(out), "--t", "0.1",
-                        "--epsilon", "0.5", *extra, "--seed", "1", "--exact-nn", "--verify"])
-    assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-    assert f"oracle for n <= {n - 1}" in proc.stderr
+
+    def no_forest(*args, **kwargs):
+        raise AssertionError("a forest was built or read")
+
+    for module, name in [(scalenets.forest, "build_forest"), (scalenets.forest, "read_forest"),
+                         (scalenets.cech, "build_forest")]:
+        monkeypatch.setattr(module, name, no_forest)
+    if command != "cech":
+        extra = [*extra, "--forest", str(tmp_path / "forest.txt")]
+    assert run([command, "--input", str(pts), "--output", str(out), "--t", "0.1",
+                "--epsilon", "0.5", *extra, "--seed", "1", "--exact-nn", "--verify"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"oracle for n <= {n - 1}" in err
     assert not out.exists()
 
 
@@ -215,6 +234,9 @@ def test_gen_data_noise_reaches_the_generator(tmp_path):
     assert run(args + ["--output", str(plain)]) == 0
     assert run(args + ["--noise", "0.5", "--output", str(noisy)]) == 0
     assert sha(plain) != sha(noisy)
+    negative = tmp_path / "negative.txt"
+    assert run(args + ["--noise", "-0.5", "--output", str(negative)]) == 1
+    assert not negative.exists()
 
 
 def test_gen_data_noise_without_a_noise_parameter_is_an_error(tmp_path, capsys):
@@ -235,6 +257,15 @@ def test_dim_estimate_output(tmp_path, capsys):
     assert run(["dim-estimate", "--forest", str(forest)]) == 0
     line = capsys.readouterr().out.strip()
     assert line.startswith("dim-estimate t=") and " x=" in line and " log2x=" in line
+    # from the points, with the arguments build-forest took: the same line
+    built = ["dim-estimate", "--input", str(pts), "--t", "0.3", "--seed", "3", "--exact-nn"]
+    assert run(built) == 0
+    assert capsys.readouterr().out.strip() == line
+    for missing in ("--t", "--seed"):
+        at = built.index(missing)
+        with pytest.raises(SystemExit) as exc:
+            run(built[:at] + built[at + 2 :])
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("command", ["wspd", "dim-estimate"])

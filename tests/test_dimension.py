@@ -30,7 +30,7 @@ def test_binary_chain_estimate_one():
 
 
 def test_empty_forest_rejected():
-    forest = NetForest([], [], [], [0], [], 1.0, 0)
+    forest = NetForest([], [], [], [0], [], 1.0)
     with pytest.raises(ValueError):
         estimate_dim(forest)
 

@@ -39,8 +39,10 @@ def test_root_level_examples():
 
 
 def test_root_level_error():
-    with pytest.raises(ValueError):
-        root_level(0.0)
+    # 5e-324 is positive, but (10/22) t rounds to 0
+    for t in (0.0, -1.0, math.inf, math.nan, 5e-324):
+        with pytest.raises(ValueError):
+            root_level(t)
 
 
 def test_root_level_rel_radius_grid():
@@ -113,8 +115,10 @@ def test_build_root_rel_far_clusters():
 
 
 def fragment_forest(parent, level, rep):
-    """A cluster-tree fragment as a forest without rel lists."""
-    return NetForest(parent, level, rep, np.zeros(parent.size + 1), [], 1.0, int(level[0]))
+    """A cluster-tree fragment as a forest without rel lists, at a t whose
+    root level is its root's."""
+    t = 3.0 * float(TAU) ** int(level[0])
+    return NetForest(parent, level, rep, np.zeros(parent.size + 1), [], t)
 
 
 def test_cluster_tree_singleton():
@@ -243,9 +247,9 @@ def test_forest_invariants_deep_clouds():
         assert bad == [], f"{name}: {bad[:3]}"
 
 
-def bare_forest(parent, level, rep, t=1.0):
-    """A forest from node arrays, with empty rel lists."""
-    return NetForest(parent, level, rep, np.zeros(len(parent) + 1), [], t, -1)
+def bare_forest(parent, level, rep):
+    """A forest from node arrays with roots at level -1, so t = 1, and empty rel lists."""
+    return NetForest(parent, level, rep, np.zeros(len(parent) + 1), [], 1.0)
 
 
 def test_check_forest_flags_each_violation():
@@ -560,6 +564,17 @@ def test_read_rejects_ids_not_preorder(tmp_path):
     ], header=FOREST_HEADER.replace("n=3", "n=2"))
     with pytest.raises(ValueError, match="not a preorder"):
         read_forest(path)
+
+
+@pytest.mark.parametrize("changes, header, match", [
+    ([], FOREST_HEADER.replace("root_level=-1", "root_level=7"), "header root_level=7"),
+    ([(0, "node 0 parent=- level=0 rep=0 children=1,4 rel=0")], FOREST_HEADER, "a root is not"),
+    ([], FOREST_HEADER.replace("t=1", "t=inf"), "positive and finite"),
+    ([], FOREST_HEADER.replace("t=1", "t=0"), "positive and finite"),
+])
+def test_read_rejects_root_level_not_of_t(tmp_path, changes, header, match):
+    with pytest.raises(ValueError, match=match):
+        read_forest(write_nodes(tmp_path, changes, header))
 
 
 def test_read_rejects_parent_after_child(tmp_path):

@@ -303,6 +303,10 @@ def test_curve_spacing_and_low_restricted_dim():
 def test_generate_bad_params():
     with pytest.raises(ValueError):
         generate("affine", n=10, d=3, flat_dim=5, seed=1)
+    with pytest.raises(ValueError, match="noise"):
+        generate("affine", n=10, d=3, flat_dim=2, seed=1, noise=-0.5)
+    with pytest.raises(ValueError, match="noise"):
+        generate("sphere", n=10, d=3, seed=1, noise=-0.5)
     with pytest.raises(ValueError):
         generate("nope", n=10, d=3, seed=1)
     with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scalenets.forest import build_forest
-from scalenets.geometry import PointCloud, exact_meb, generate
+from scalenets.geometry import PointCloud, exact_meb, generate, pairwise_distances
 from scalenets.wssd import (
     Wssd,
     approx_meb,
@@ -61,7 +61,7 @@ def test_unit_triangle_covered():
     cloud = PointCloud(tri)
     t = 1.0
     forest = build2t(cloud, t)
-    wssd = gen_wssd(forest, cloud, 0.5, 2, t)
+    wssd = gen_wssd(forest, cloud, 0.5, 2)
     report = verify_wssd(cloud, forest, wssd, 0.5, 2, t)
     assert report.ok  # in particular the triangle itself is covered
 
@@ -70,7 +70,7 @@ def test_two_points_high_k_degenerate_cover():
     cloud = PointCloud(np.array([[0.0], [1.0]]))
     t = 1.0
     forest = build2t(cloud, t)
-    wssd = gen_wssd(forest, cloud, 0.5, 3, t)
+    wssd = gen_wssd(forest, cloud, 0.5, 3)
     # the only pair has enclosing radius 1/2 <= t; some 4-node tuple must admit
     # both points in distinct positions (repeated nodes allowed)
     masks = []
@@ -92,7 +92,7 @@ def test_out_of_scale_simplices_ignored():
     cloud = PointCloud(np.array([[0.0], [3.1]]))
     t = 1.0
     forest = build2t(cloud, t)
-    wssd = gen_wssd(forest, cloud, 0.5, 2, t)
+    wssd = gen_wssd(forest, cloud, 0.5, 2)
     report = verify_wssd(cloud, forest, wssd, 0.5, 2, t)
     assert report.ok  # pair radius 1.55 > t carries no coverage obligation
 
@@ -102,11 +102,9 @@ def test_gen_validation():
     t = 0.3
     forest = build2t(cloud, t)
     with pytest.raises(ValueError):
-        gen_wssd(forest, cloud, 1.5, 2, t)
+        gen_wssd(forest, cloud, 1.5, 2)
     with pytest.raises(ValueError):
-        gen_wssd(forest, cloud, 0.5, 0, t)
-    with pytest.raises(ValueError):
-        gen_wssd(forest, cloud, 0.5, 2, t * 2)  # forest scale mismatch
+        gen_wssd(forest, cloud, 0.5, 0)
 
 
 def test_random_clouds_zero_violations():
@@ -114,7 +112,7 @@ def test_random_clouds_zero_violations():
         cloud = generate("uniform", n=30, d=3, seed=seed)
         t = quantile_scale(cloud, 0.15)
         forest = build2t(cloud, t)
-        wssd = gen_wssd(forest, cloud, 0.5, 2, t)
+        wssd = gen_wssd(forest, cloud, 0.5, 2)
         report = verify_wssd(cloud, forest, wssd, 0.5, 2, t)
         assert report.ok, (seed, report.coverage_violations[:2], report.separation_violations[:2])
 
@@ -125,7 +123,7 @@ def test_tier1_matches_wspd_coverage_at_doubled_scale():
     cloud = generate("clustered", n=25, d=2, seed=9, clusters=3)
     t = quantile_scale(cloud, 0.2)
     forest = build2t(cloud, t)
-    wssd = gen_wssd(forest, cloud, 0.5, 1, t)
+    wssd = gen_wssd(forest, cloud, 0.5, 1)
     pairs = np.sort(wssd.tiers[1], axis=1)
     as_wspd = Wspd(pairs=np.unique(pairs, axis=0), epsilon=0.25, t=2 * t)
     assert verify_wspd(cloud, forest, as_wspd, 0.25, 2 * t).ok
@@ -140,7 +138,7 @@ def test_fabricated_separation_violation_detected():
     )
     t = 3.0
     forest = build2t(cloud, t)
-    wssd = gen_wssd(forest, cloud, 0.5, 2, t)
+    wssd = gen_wssd(forest, cloud, 0.5, 2)
     pair_nodes = {
         frozenset(forest.points(v).tolist()): v
         for v in range(forest.n_nodes)
@@ -159,13 +157,31 @@ def test_fabricated_separation_violation_detected():
     assert report.separation_violations
 
 
+def test_fabricated_coverage_violation_detected():
+    # without the tier-1 rows that cover the closest pair, that pair (radius
+    # well below t) is reported uncovered
+    cloud = generate("uniform", n=15, d=2, seed=2)
+    t = quantile_scale(cloud, 0.2)
+    forest = build2t(cloud, t)
+    wssd = gen_wssd(forest, cloud, 0.5, 1)
+    assert verify_wssd(cloud, forest, wssd, 0.5, 1, t).ok
+    d = pairwise_distances(cloud) + np.diag(np.full(cloud.n, np.inf))
+    p, q = sorted(np.unravel_index(int(np.argmin(d)), d.shape))
+    holds = [set(forest.points(v).tolist()) for v in range(forest.n_nodes)]
+    covers = np.array([(p in holds[u] and q in holds[v]) or (q in holds[u] and p in holds[v])
+                       for u, v in wssd.tiers[1].tolist()])
+    assert covers.any()
+    broken = Wssd(tiers={1: wssd.tiers[1][~covers]}, epsilon=wssd.epsilon, t=wssd.t, k=1)
+    assert (p, q) in verify_wssd(cloud, forest, broken, 0.5, 1, t).coverage_violations
+
+
 def test_root_cap_instances_still_cover():
     cloud = generate(
         "clustered", n=28, d=3, seed=6, clusters=3, separation=6.0, spread=0.9
     )
     t = 1.6
     forest = build2t(cloud, t)
-    wssd = gen_wssd(forest, cloud, 0.5, 2, t)
+    wssd = gen_wssd(forest, cloud, 0.5, 2)
     assert wssd.stats["capped"] > 0
     report = verify_wssd(cloud, forest, wssd, 0.5, 2, t)
     assert not report.coverage_violations
@@ -196,7 +212,7 @@ def test_tier2_size_slope_at_constant_density(seed):
         cloud = generate("affine", n=n, d=5, flat_dim=2, seed=seed, extent=math.sqrt(n / ns[0]))
         if t is None:
             t = quantile_scale(cloud, 0.05)
-        wssd = gen_wssd(build2t(cloud, t), cloud, 0.5, 2, t)
+        wssd = gen_wssd(build2t(cloud, t), cloud, 0.5, 2)
         sizes.append(len(wssd.tiers[2]))
     slope = float(np.polyfit(np.log(ns), np.log(sizes), 1)[0])
     assert 0.8 <= slope <= 1.2, (slope, sizes)
@@ -204,7 +220,7 @@ def test_tier2_size_slope_at_constant_density(seed):
 
 def assert_tiers_distinct(cloud, t, k, label):
     forest = build2t(cloud, t)
-    wssd = gen_wssd(forest, cloud, 0.5, k, t)
+    wssd = gen_wssd(forest, cloud, 0.5, k)
     assert sorted(wssd.tiers) == list(range(1, k + 1)), label
     for j, tier in wssd.tiers.items():
         keys = np.ravel_multi_index(tier.T, (forest.n_nodes,) * (j + 1))
@@ -227,7 +243,7 @@ def test_wssd_file_roundtrip(tmp_path):
     cloud = generate("uniform", n=15, d=2, seed=2)
     t = quantile_scale(cloud, 0.2)
     forest = build2t(cloud, t)
-    wssd = gen_wssd(forest, cloud, 0.5, 2, t)
+    wssd = gen_wssd(forest, cloud, 0.5, 2)
     path = tmp_path / "out.wssd"
     write_wssd(path, wssd)
     back = read_wssd(path)
