@@ -1,8 +1,10 @@
 """Scale-restricted well-separated pair decompositions.
 
 Every pair of points within t is covered by a node pair whose point-set
-diameters are small next to the distance between them; pairs beyond t are
-simply not the structure's business, which is what keeps it small.
+diameters are small next to the distance between them. Only node pairs that
+can reach within t are emitted (representatives at most t plus the two
+covering radii apart); pairs beyond t are not the structure's business,
+which is what keeps it small.
 """
 
 import math

@@ -77,14 +77,16 @@ def cmd_build_forest(args) -> int:
     return 0
 
 
-def _forest_for(args, cloud, scale: float) -> _forest.NetForest:
+def _forest_for(args, cloud, scale: float | None) -> _forest.NetForest:
+    """The --forest file, checked against the scale and the points where they
+    are given, or else a forest built from the points at that scale."""
     if args.forest:
         forest = _load(_forest.read_forest, "forest", args.forest)
-        if not math.isclose(forest.t, scale, rel_tol=1e-9):
+        if scale is not None and not math.isclose(forest.t, scale, rel_tol=1e-9):
             raise CommandError(
                 f"forest file built at t={forest.t}, this command needs t={scale}"
             )
-        if forest.n != cloud.n:
+        if cloud is not None and forest.n != cloud.n:
             raise CommandError("forest and point file disagree on n")
         return forest
     return _build_forest_from_args(args, cloud, scale)
@@ -155,13 +157,10 @@ def cmd_cech(args) -> int:
 
 
 def cmd_dim_estimate(args) -> int:
-    if args.forest:
-        forest = _load(_forest.read_forest, "forest", args.forest)
-    else:
-        if not args.input:
-            raise CommandError("dim-estimate needs --forest or --input")
-        cloud = _load(_geometry.read_points, "points", args.input)
-        forest = _build_forest_from_args(args, cloud, args.t)
+    if not (args.forest or args.input):
+        raise CommandError("dim-estimate needs --forest or --input")
+    cloud = _load(_geometry.read_points, "points", args.input) if args.input else None
+    forest = _forest_for(args, cloud, args.t)
     est = _dimension.estimate_dim(forest)
     line = "dim-estimate t=%.17g x=%d log2x=%.17g" % (est.t, est.max_out_degree, est.estimate)
     print(line)
@@ -256,7 +255,8 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "dim-estimate":
+    if getattr(args, "command", None) == "dim-estimate" and not args.forest:
+        # a forest is built from --input only when no --forest is given
         if args.input and args.t is None:
             parser.error("dim-estimate --input needs --t")
         if args.input and args.seed is None:

@@ -169,14 +169,11 @@ class NetForest:
         sub = slice(v, v + self.size[v])
         return np.sort(self.rep[sub][self.is_leaf[sub]])
 
-    def root_of(self, v: int) -> int:
-        return int(self.roots[np.searchsorted(self.roots, v, side="right") - 1])
-
     def roots_within_7t(self, cloud: PointCloud) -> dict[int, list[int]]:
         """Per-root ids of roots with representative distance <= 7t.
 
-        These lists seed cross-tree searches (WSPD, WSSD) whose reach must
-        not depend on how far the root level was rounded down. One exact
+        These lists seed the WSSD's cross-tree search, whose reach must not
+        depend on how far the root level was rounded down. One exact
         radius query over the root representatives, for built and loaded
         forests alike.
         """

@@ -226,15 +226,6 @@ class LshIndex:
         report = self.query(q, self.params.r1)
         return np.array(sorted(report.neighbours), dtype=np.intp)
 
-    def collide_mask(self, pairs: np.ndarray) -> np.ndarray:
-        """For each (i, j) row: do i and j share a bucket in any table?"""
-        pairs = np.asarray(pairs)
-        if pairs.size == 0:
-            return np.zeros(0, dtype=bool)
-        gi = self._gids[:, pairs[:, 0]]
-        gj = self._gids[:, pairs[:, 1]]
-        return np.any(gi == gj, axis=0)
-
     def all_near_pairs(self) -> np.ndarray:
         """All pairs (i < j) that collide somewhere and are within r1.
 

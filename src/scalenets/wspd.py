@@ -4,7 +4,10 @@ A pair of forest nodes (u, v) is epsilon-well-separated when the larger of
 the two point-set diameters is at most epsilon times the distance between
 their representatives. The decomposition covers every point pair within
 distance t of each other by at least one such node pair; pairs further
-apart carry no guarantee.
+apart carry no guarantee. It emits only node pairs that can reach within
+t: their representatives lie at most t + cover[u] + cover[v] apart, so
+some of their point pairs may be within t. Pairing only nearby nodes keeps
+the decomposition from growing like n^2 at a fixed scale.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .forest import NetForest
 from .geometry import RTOL, PointCloud, pairwise_distances, read_records, row_distances
@@ -28,9 +32,13 @@ __all__ = [
 
 # pairs popped from the frontier per array step; bounds the temporaries
 _BLOCK = 8192
-# relative band around the separation threshold inside which the batched
-# distance is replaced by the scalar expression, so an ulp cannot flip a call
+# relative band around the reach and separation thresholds inside which the
+# batched distance is replaced by the scalar expression, so an ulp cannot flip
+# a call; also the slack of the reach limit over t
 _TIE_RTOL = 1e-9
+# relative padding of the 3t root-pair seed radius: the seeds are a superset
+# of the root pairs in reach, and the reach test decides
+_SEED_PAD = 1e-6
 # pair lines formatted per write
 _WRITE_CHUNK = 65536
 ORACLE_MAX_N = 500  # largest cloud `verify_wspd` accepts
@@ -54,25 +62,31 @@ def _ragged_arange(lengths: np.ndarray) -> np.ndarray:
 def gen_wspd(forest: NetForest, cloud: PointCloud, epsilon: float) -> Wspd:
     """Well-separated pairs covering all point pairs within the forest scale t.
 
-    Seeds on every root pair within 7t (`NetForest.roots_within_7t`, an
-    exact radius query over the root representatives, so built and loaded
-    forests seed alike) and splits the node with the larger diameter bound
-    (twice `NetForest.cover`; ties split the smaller id) until the
-    separation test max(da, db) <= epsilon * dist passes. A self pair (a, a)
-    expands to every child pair (i <= j). The frontier is a stack of pair
-    arrays, popped in blocks of at most `_BLOCK` rows and tested with one
-    batched distance per block; rows within a 1e-9 relative band of the
-    threshold are decided again with the scalar norm of the representatives,
-    so the pair set does not depend on how distances are batched. Returns
-    the distinct emitted pairs as a sorted (m, 2) array with u <= v.
+    Seeds on every root with itself and on every root pair within 3t (one
+    radius query over the root representatives, padded by `_SEED_PAD`): a
+    root covers at most t, so a pair farther apart is out of reach. A node
+    pair (u, v) only covers point pairs at least
+    reach = dist - cover[u] - cover[v] apart; a pair whose reach exceeds
+    t(1 + 1e-9) is dropped with all its descendants. Any other pair is
+    emitted when max(da, db) <= epsilon * dist, da and db being the diameter
+    bounds (twice `NetForest.cover`), or else the node with the larger bound
+    is split (ties split the smaller id). A self pair (a, a) expands to every
+    child pair (i <= j). The frontier is a stack of pair arrays, popped in
+    blocks of at most `_BLOCK` rows and tested with one batched distance per
+    block; rows within a 1e-9 relative band of either threshold are decided
+    again with the scalar norm of the representatives, so the pair set does
+    not depend on how distances are batched. Returns the distinct emitted
+    pairs as a sorted (m, 2) array with u <= v.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0,1)")
 
     pts = cloud.points
     n_nodes = forest.n_nodes
-    rep = forest.rep
-    bound = 2.0 * forest.cover  # point-set diameter bound of every node
+    rep, cover = forest.rep, forest.cover
+    bound = 2.0 * cover  # point-set diameter bound of every node
+    # reach limit: a pair at distance exactly t survives rounding in the bound
+    limit = forest.t * (1.0 + _TIE_RTOL)
     offsets, flat = forest.child_ptr, forest.child_ids
     n_children = np.diff(offsets)
 
@@ -81,17 +95,21 @@ def gen_wspd(forest: NetForest, cloud: PointCloud, epsilon: float) -> Wspd:
         counts = n_children[ids]
         return np.repeat(offsets[ids], counts) + _ragged_arange(counts), counts
 
+    def scalar_dist(u: int, v: int) -> float:
+        return float(np.linalg.norm(pts[rep[u]] - pts[rep[v]]))
+
     stack: list[np.ndarray] = []
 
     def push(u: np.ndarray, v: np.ndarray) -> None:
         if u.size:
             stack.append(np.column_stack((np.minimum(u, v), np.maximum(u, v))))
 
-    neighbours = forest.roots_within_7t(cloud)
-    seeds = np.array(
-        [(r, s) for r, near in neighbours.items() for s in near if s >= r], dtype=np.intp
-    ).reshape(-1, 2)
-    push(seeds[:, 0], seeds[:, 1])
+    roots = forest.roots
+    near = cKDTree(pts[rep[roots]]).query_pairs(
+        3.0 * forest.t * (1.0 + _SEED_PAD), output_type="ndarray"
+    )
+    push(roots, roots)
+    push(roots[near[:, 0]], roots[near[:, 1]])
     found = [np.empty(0, dtype=np.int64)]  # emitted pairs as codes u * n_nodes + v
 
     while stack:
@@ -109,15 +127,21 @@ def gen_wspd(forest: NetForest, cloud: PointCloud, epsilon: float) -> Wspd:
         second = first + _ragged_arange(width)
         push(flat[first], flat[second])
 
-        # other pairs: one separation test per row
+        # other pairs: drop those out of reach, then one separation test per row
         a, b = a[other], b[other]
+        dist = row_distances(pts[rep[a]], pts[rep[b]])
+        reach = dist - cover[a] - cover[b]
+        within = reach <= limit
+        for i in np.flatnonzero(np.abs(reach - limit) <= _TIE_RTOL * limit):
+            within[i] = scalar_dist(a[i], b[i]) - cover[a[i]] - cover[b[i]] <= limit
+        a, b, dist = a[within], b[within], dist[within]
+
         da, db = bound[a], bound[b]
         lhs = np.maximum(da, db)
-        rhs = epsilon * row_distances(pts[rep[a]], pts[rep[b]])
+        rhs = epsilon * dist
         separated = lhs <= rhs
         for i in np.flatnonzero(np.abs(lhs - rhs) <= _TIE_RTOL * np.maximum(lhs, rhs)):
-            dist = float(np.linalg.norm(pts[rep[a[i]]] - pts[rep[b[i]]]))
-            separated[i] = lhs[i] <= epsilon * dist
+            separated[i] = lhs[i] <= epsilon * scalar_dist(a[i], b[i])
         found.append(a[separated].astype(np.int64) * n_nodes + b[separated])
 
         a, b, da, db = a[~separated], b[~separated], da[~separated], db[~separated]

@@ -17,6 +17,11 @@ def median_nn(cloud: PointCloud) -> float:
     return float(np.median(d.min(axis=1)))
 
 
+def root_of(forest, v: int) -> int:
+    """The root of node v's tree: the last root id at or below v (ids are a preorder)."""
+    return int(forest.roots[np.searchsorted(forest.roots, v, side="right") - 1])
+
+
 # (name, cloud, t) triples exercising every generator at structural scale;
 # one entry uses a deliberately awkward t so level rounding paths get hit
 def structural_corpora(n: int = 150) -> list[tuple[str, PointCloud, float]]:

@@ -268,6 +268,37 @@ def test_dim_estimate_output(tmp_path, capsys):
         assert exc.value.code == 2
 
 
+def dim_estimate_files(tmp_path):
+    """A 40-point file, a 41-point file, and the forest of the first at t=0.3."""
+    pts, other = tmp_path / "pts.txt", tmp_path / "other.txt"
+    for path, n in ((pts, 40), (other, 41)):
+        run(["gen-data", "--kind", "uniform", "--n", str(n), "--d", "2",
+             "--seed", "2", "--output", str(path)])
+    forest = tmp_path / "forest.txt"
+    run(["build-forest", "--input", str(pts), "--output", str(forest),
+         "--t", "0.3", "--seed", "3", "--exact-nn"])
+    return pts, other, forest
+
+
+def test_dim_estimate_accepts_a_matching_t_and_input(tmp_path, capsys):
+    pts, _, forest = dim_estimate_files(tmp_path)
+    assert run(["dim-estimate", "--forest", str(forest)]) == 0
+    line = capsys.readouterr().out
+    assert run(["dim-estimate", "--forest", str(forest), "--t", "0.3", "--input", str(pts)]) == 0
+    assert capsys.readouterr().out == line
+
+
+@pytest.mark.parametrize("mismatch, message", [
+    ("t", "forest file built at t=0.3, this command needs t=99.0"),
+    ("input", "forest and point file disagree on n"),
+], ids=["t", "input"])
+def test_dim_estimate_rejects_a_forest_that_does_not_match(tmp_path, capsys, mismatch, message):
+    _, other, forest = dim_estimate_files(tmp_path)
+    extra = {"t": ["--t", "99", "--seed", "4"], "input": ["--input", str(other)]}[mismatch]
+    assert run(["dim-estimate", "--forest", str(forest), *extra]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["wspd", "dim-estimate"])
 def test_unreadable_forest_file_is_an_error(tmp_path, capsys, command):
     pts = tmp_path / "pts.txt"

@@ -28,7 +28,7 @@ from scalenets.forest import (
 from scalenets.geometry import ExactNearNeighbours, PointCloud, generate, pairwise_distances
 from scalenets.lsh import LshIndex, derive_params
 
-from conftest import DEEP_CLOUDS, quantile_scale
+from conftest import DEEP_CLOUDS, quantile_scale, root_of
 from forest_reference import reference_forest
 
 
@@ -343,9 +343,9 @@ def test_isolated_cluster_rel_stays_home():
     forest = build_forest(cloud, t, nn="exact")
     far_roots = {r for r in forest.roots.tolist() if forest.rep[r] >= 20}
     for v in range(forest.n_nodes):
-        in_far = forest.root_of(v) in far_roots
+        in_far = root_of(forest, v) in far_roots
         for w in forest.rel_of(v):
-            assert (forest.root_of(w) in far_roots) == in_far
+            assert (root_of(forest, w) in far_roots) == in_far
 
 
 def test_extract_net_boundaries(corpora):
@@ -384,7 +384,7 @@ def test_extract_net_mid_level_bounds(corpora):
             low_ok = not forest.children_of(v) or forest.level[v] <= mid
             high_ok = parent < 0 or mid < forest.level[parent]
             if low_ok and high_ok:
-                by_tree.setdefault(forest.root_of(v), []).append(forest.rep[v])
+                by_tree.setdefault(root_of(forest, v), []).append(forest.rep[v])
         for tree_reps in by_tree.values():
             sub = cloud.points[tree_reps]
             if len(tree_reps) < 2:

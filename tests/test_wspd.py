@@ -6,7 +6,7 @@ from scalenets.forest import build_forest
 from scalenets.geometry import PointCloud, generate
 from scalenets.wspd import Wspd, gen_wspd, read_wspd, verify_wspd, write_wspd
 
-from conftest import quantile_scale
+from conftest import median_nn, quantile_scale
 
 
 def build(cloud, t):
@@ -16,11 +16,14 @@ def build(cloud, t):
 def reference_pairs(forest, cloud, epsilon):
     """The scalar stack loop `gen_wspd` replaced: one pair per step.
 
-    Same seeds, separation test, split rule and self-pair expansion, with
-    the distance taken by a scalar norm; independent of the block code.
+    Same reach rule, separation test, split rule and self-pair expansion,
+    with the distance taken by a scalar norm; independent of the block code.
+    It seeds on the wider 7t root lists, so a match also shows that the 3t
+    seeds lose no pair.
     """
     pts = cloud.points
     out = set()
+    limit = forest.t * (1 + 1e-9)
     neighbours = forest.roots_within_7t(cloud)
     stack = [(r, s) for r in forest.roots for s in neighbours[r] if s >= r]
     while stack:
@@ -35,6 +38,8 @@ def reference_pairs(forest, cloud, epsilon):
             continue
         da, db = 2.0 * forest.cover[a], 2.0 * forest.cover[b]
         dist = float(np.linalg.norm(pts[forest.rep[a]] - pts[forest.rep[b]]))
+        if dist - forest.cover[a] - forest.cover[b] > limit:
+            continue  # no point pair within t below this pair
         if max(da, db) <= epsilon * dist:
             out.add((a, b))
             continue
@@ -75,13 +80,16 @@ def test_matches_scalar_reference_on_degenerate_clouds():
 
 
 def test_exact_separation_tie_is_emitted():
-    # two 2-point roots with bound 2t = 2 and representatives 4 apart:
-    # max(da, db) == 0.5 * 4 exactly, and `<=` must keep the pair
-    cloud = PointCloud(np.array([[0.0], [0.5], [4.0], [4.5]]))
+    # two 2-point roots with bound 2t = 2 and representatives 2.5 apart:
+    # max(da, db) == 0.8 * 2.5 exactly in floating point, and `<=` must keep
+    # the pair; its reach 2.5 - 1 - 1 = 0.5 lies within t
+    cloud = PointCloud(np.array([[0.0], [0.5], [2.5], [3.0]]))
     forest = build(cloud, 1.0)
     r0, r1 = forest.roots
-    assert 2 * forest.cover[r0] == 2 * forest.cover[r1] == 0.5 * 4.0
-    wspd = assert_matches_reference(forest, cloud, 0.5, "tie")
+    dist = abs(cloud.points[forest.rep[r0], 0] - cloud.points[forest.rep[r1], 0])
+    assert 2 * forest.cover[r0] == 2 * forest.cover[r1] == 0.8 * dist
+    assert dist - forest.cover[r0] - forest.cover[r1] <= forest.t
+    wspd = assert_matches_reference(forest, cloud, 0.8, "tie")
     assert [min(r0, r1), max(r0, r1)] in wspd.pairs.tolist()
 
 
@@ -150,18 +158,55 @@ def test_verifier_flags_fabricated_violations():
     t = quantile_scale(cloud, 0.3)
     forest = build(cloud, t)
     wspd = gen_wspd(forest, cloud, 0.5)
-    # separation: pair two fat sibling nodes that are far from separated
-    children = forest.children_of(forest.roots[0])
-    if len(children) >= 2:
-        fat = np.sort(children[:2])[None, :]
-        broken = Wspd(pairs=np.unique(np.vstack([wspd.pairs, fat]), axis=0), epsilon=1e-6, t=t)
-        assert verify_wspd(cloud, forest, broken, 1e-6, t).separation_violations
+    # separation: two non-leaf nodes, each holding points a positive distance
+    # apart, are far from separated at this epsilon
+    fat = np.flatnonzero(~forest.is_leaf)[-2:]
+    assert len(fat) == 2 and all(len(np.unique(cloud.points[forest.points(v)], axis=0)) > 1
+                                 for v in fat)
+    broken = Wspd(pairs=np.unique(np.vstack([wspd.pairs, fat]), axis=0), epsilon=1e-6, t=t)
+    assert tuple(fat) in verify_wspd(cloud, forest, broken, 1e-6, t).separation_violations
     # coverage: delete one pair
     if len(wspd.pairs):
         pruned = Wspd(pairs=wspd.pairs[1:], epsilon=0.5, t=t)
         full = verify_wspd(cloud, forest, wspd, 0.5, t)
         broken = verify_wspd(cloud, forest, pruned, 0.5, t)
         assert len(broken.coverage_violations) >= len(full.coverage_violations)
+
+
+REACH_CLOUDS = {
+    "uniform": dict(d=3),
+    "affine": dict(d=6, flat_dim=2),
+    "clustered": dict(d=4, clusters=6),
+    "curve": dict(d=3, spacing=0.04),
+}
+
+
+@pytest.mark.parametrize("kind", REACH_CLOUDS)
+@pytest.mark.parametrize("scale", [0.5, 3, 30, 300])
+def test_pairs_reach_within_t(kind, scale):
+    # every emitted pair can hold a point pair within t, and pruning the
+    # others loses no coverage
+    cloud = generate(kind, n=200, seed=2, **REACH_CLOUDS[kind])
+    t = scale * median_nn(cloud)
+    forest = build(cloud, t)
+    wspd = gen_wspd(forest, cloud, 0.5)
+    u, v = wspd.pairs[:, 0], wspd.pairs[:, 1]
+    dist = np.linalg.norm(cloud.points[forest.rep[u]] - cloud.points[forest.rep[v]], axis=1)
+    assert np.all(dist - forest.cover[u] - forest.cover[v] <= t * (1 + 1e-9))
+    report = verify_wspd(cloud, forest, wspd, 0.5, t)
+    assert report.ok, (len(report.separation_violations), len(report.coverage_violations))
+
+
+def test_pair_count_grows_subquadratically():
+    # constant-density affine 2-flat in R^8 at a fixed scale of 30 median
+    # NN distances: without the reach pruning the pairs grow like n^2
+    ns = (500, 1000, 2000)
+    clouds = [generate("affine", n=n, d=8, flat_dim=2, seed=5, extent=2 * np.sqrt(n / 1000))
+              for n in ns]
+    t = 30 * median_nn(clouds[1])
+    counts = [len(gen_wspd(build(cloud, t), cloud, 0.5).pairs) for cloud in clouds]
+    slope = float(np.polyfit(np.log(ns), np.log(counts), 1)[0])
+    assert slope < 1.5, (slope, counts)
 
 
 def test_pairs_below_root_level(corpora):
