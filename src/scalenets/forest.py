@@ -172,10 +172,10 @@ class NetForest:
     def roots_within_7t(self, cloud: PointCloud) -> dict[int, list[int]]:
         """Per-root ids of roots with representative distance <= 7t.
 
-        These lists seed the WSSD's cross-tree search, whose reach must not
-        depend on how far the root level was rounded down. One exact
-        radius query over the root representatives, for built and loaded
-        forests alike.
+        No stage of the pipeline calls it: the WSPD seeds on 3t and the
+        WSSD queries cells directly. Only the tests' references (the scalar
+        WSPD and the rel-walk WSSD) and perfbench's tracer use it. One exact
+        radius query over the root representatives.
         """
         roots = self.roots.tolist()
         reps = cloud.points[self.rep[self.roots]]

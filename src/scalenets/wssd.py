@@ -11,7 +11,8 @@ Tier 1 is a (2t)-restricted pair decomposition at separation epsilon/2 (a
 2t), built on a forest at scale 2t. Higher tiers extend each tuple by the
 cells, at a level tied to the tuple's approximate enclosing ball, that lie
 within the region where a new simplex vertex could make the extended
-simplex still fit in a radius-t ball.
+simplex still fit in a radius-t ball; one kd-tree query per cell level
+finds them for a whole tier.
 
 Each tier is one (m, j+1) array of node ids. The balls are not kept: they
 are computed for a tier only when it is extended, and only the extension
@@ -20,15 +21,17 @@ reads them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .forest import COVER_COEF, REL_COEF, TAU, NetForest, descend_to_level
+# `descend_to_level` is not called here; perfbench's tracer wraps the name
+# `wssd.descend_to_level`, and its smoke test requires every traced name to resolve
+from .forest import COVER_COEF, REL_COEF, TAU, NetForest, descend_to_level  # noqa: F401
 from .geometry import (
     RTOL, Ball, PointCloud, exact_meb, pairwise_distances, read_records, row_distances,
 )
@@ -84,7 +87,13 @@ def approx_meb(points: np.ndarray, delta_meb: float = DELTA_MEB) -> Ball:
 
 @dataclass
 class Wssd:
-    """Tier j -> (m, j+1) intp array of node ids, rows in emission order."""
+    """Tier j -> (m, j+1) intp array of node ids, rows in emission order.
+
+    `stats` (from `gen_wssd`; empty from `read_wssd`) counts over all tiers
+    `skipped`, tuples whose ball is too wide to extend; `capped`, extended
+    tuples whose reach exceeds every non-root rel radius above their first
+    node (the paper's root cap); and `fallback_all_roots`, always 0.
+    """
 
     tiers: dict[int, np.ndarray]
     epsilon: float
@@ -100,35 +109,35 @@ def _level_floor(value: float) -> int:
     return max(_LEVEL_FLOOR, math.floor(math.log(value, TAU) + 1e-12))
 
 
+def _tau_pow(levels: np.ndarray) -> np.ndarray:
+    """float(TAU) ** lv per entry by Python's power (numpy's can differ in the last bit)."""
+    distinct, where = np.unique(levels, return_inverse=True)
+    return np.array([float(TAU) ** lv for lv in distinct.tolist()])[where]
+
+
 def gen_wssd(forest: NetForest, cloud: PointCloud, epsilon: float, k: int) -> Wssd:
     """Tiered simplicial decomposition covering radius-<=t simplices, t = forest.t / 2.
 
     A tuple is extended only if its approximate enclosing ball still allows
     a witnessed simplex of radius at most t; the new nodes are the cells at
-    a level small enough to keep every extension well-separated, gathered
-    through the rel lists of an ancestor (or through the roots within
-    7 * forest.t, from `NetForest.roots_within_7t`, when the required
-    ancestor level exceeds the root level).
+    a level lam, small enough to keep every extension well-separated, whose
+    reps lie within the search reach of the ball's center. One kd-tree query
+    per distinct lam finds them for a whole tier, each hit decided exactly.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0,1)")
     if k < 1:
         raise ValueError("k must be >= 1")
-    t = forest.t / 2.0
-    pts = cloud.points
-    rep_of = forest.rep
-    parent, level = forest.parent.tolist(), forest.level.tolist()
-    # fallback_all_roots stays 0: a capped tuple's root neighbours suffice
+    t, pts, rep_of = forest.t / 2.0, cloud.points, forest.rep
     stats = {"skipped": 0, "capped": 0, "fallback_all_roots": 0}
+    tiers: dict[int, np.ndarray] = {1: gen_wspd(forest, cloud, epsilon / 2.0).pairs}
 
-    base = gen_wspd(forest, cloud, epsilon / 2.0)
-    tiers: dict[int, np.ndarray] = {1: base.pairs}
-
-    neighbours = forest.roots_within_7t(cloud)
-    cells_at = functools.cache(functools.partial(descend_to_level, forest))
-    # the rel radius 14*tau^level must absorb two covering hops plus the
-    # search reach, hence the 14 - 2*2.2 = 9.6 margin
-    rel_margin = REL_COEF - 2.0 * COVER_COEF
+    # A tuple is capped when `need` exceeds 9.6 * 11^level (a rel radius less
+    # two covering hops) even at its first node's depth-1 ancestor, the highest
+    # non-root one: in a preorder, the last depth-1 id at or before the node.
+    top = np.maximum.accumulate(np.arange(forest.n_nodes) * (forest.high == forest.root_level))
+    cap = (REL_COEF - 2.0 * COVER_COEF) * _tau_pow(forest.level[top])
+    cap[forest.parent < 0] = -np.inf
 
     for j in range(1, k):
         tier = tiers[j]
@@ -138,51 +147,41 @@ def gen_wssd(forest: NetForest, cloud: PointCloud, epsilon: float, k: int) -> Ws
         # Half the widest rep pair bounds r from below (the ball holds both
         # reps), and 1e-9 absorbs the rounding of both sides, so a tuple
         # this bound skips is skipped by its ball too: no ball is computed.
+        # It never fires on tier 1, where the WSPD reach prune keeps dist/2 <=
+        # t + maxcov; a higher tier's new cell may lie up to the search reach away.
         widest = np.max([row_distances(stack[:, a], stack[:, b])
                          for a, b in combinations(range(j + 1), 2)], axis=0)
         live = np.flatnonzero(~(widest / 2.0 * (1 - 1e-9) / (1.0 + DELTA_MEB) - maxcovs > t))
         centers, radii = _approx_meb_batch(stack[live], DELTA_MEB)
         extend = ~(radii / (1.0 + DELTA_MEB) - maxcovs[live] > t)
         stats["skipped"] += len(tier) - int(np.count_nonzero(extend))
-        # No seen-set: a row's sources root disjoint subtrees (distinct roots,
-        # or rel nodes, which each straddle the anchor's level, so none is
-        # another's ancestor). Its cells are thus distinct, and distinct rows
-        # give distinct extensions.
-        owners: list[int] = []
-        cells: list[int] = []
         grown = live[extend]
-        for i, anchor, center, r, maxcov in zip(
-            grown.tolist(), tier[grown, 0].tolist(), centers[extend],
-            radii[extend].tolist(), maxcovs[grown].tolist(),
-        ):
-            r_floor = r / ((1.0 + DELTA_MEB) * (1.0 + epsilon))
-            lam = _level_floor(epsilon * r_floor / (4.0 * 2.0 * COVER_COEF))
-            cell_pad = COVER_COEF * float(TAU) ** lam
-            r_search = 3.0 * (r + maxcov) + cell_pad
-            need = 4.0 * r + 3.0 * maxcov + cell_pad
+        centers, r, maxcov = centers[extend], radii[extend], maxcovs[grown]
 
-            while parent[anchor] >= 0 and need > rel_margin * float(TAU) ** level[anchor]:
-                anchor = parent[anchor]
-            if parent[anchor] >= 0:
-                sources = forest.rel_of(anchor)
-            else:
-                # The walk ended at the root of the tuple's first node. Its
-                # roots within 7 * forest.t hold every source: non-root covers
-                # are at most forest.t/11, and no tuple holding a non-leaf root
-                # passes the skip test (its WSPD pair is >= 4*forest.t/eps apart),
-                # so 2*forest.t + 4r + 3*maxcov + cell_pad <= (2 + 4.2*(0.5 +
-                # 1/11) + 3/11 + 0.04) * forest.t, about 4.8 * forest.t.
-                stats["capped"] += 1
-                sources = neighbours[anchor]
+        r_floor = r / ((1.0 + DELTA_MEB) * (1.0 + epsilon))
+        # a scalar math.log per row: numpy's log can differ from it in the last bit
+        lams = np.array([_level_floor(v) for v in
+                         (epsilon * r_floor / (4.0 * 2.0 * COVER_COEF)).tolist()], dtype=np.int64)
+        cell_pad = COVER_COEF * _tau_pow(lams)
+        r_search = 3.0 * (r + maxcov) + cell_pad
+        need = 4.0 * r + 3.0 * maxcov + cell_pad
+        stats["capped"] += int(np.count_nonzero(need > cap[tier[grown, 0]]))
 
-            cands = np.array([c for w in sources for c in cells_at(w, lam)], dtype=np.intp)
-            d = np.linalg.norm(pts[rep_of[cands]] - center, axis=1)
-            hit = cands[d <= r_search * (1 + 1e-12)].tolist()
-            owners += [i] * len(hit)
-            cells += hit
-        tiers[j + 1] = np.column_stack(
-            (tier[np.array(owners, dtype=np.intp)], np.array(cells, dtype=np.intp))
-        )
+        # (row into `grown`, cell) pairs, distinct as the level-lam cells are.
+        # The kd-tree radius is padded against its rounding; exact distances decide.
+        rows, cells = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        for lam in np.unique(lams).tolist():
+            sel = np.flatnonzero(lams == lam)
+            at_lam = np.flatnonzero((forest.low <= lam) & (lam < forest.high))
+            hits = cKDTree(pts[rep_of[at_lam]]).query_ball_point(
+                centers[sel], r_search[sel] * (1 + 1e-9))
+            rows.append(np.repeat(sel, list(map(len, hits))))
+            cells.append(at_lam[np.fromiter(chain.from_iterable(hits), dtype=np.intp)])
+        rows, cells = np.concatenate(rows), np.concatenate(cells)
+        d = np.linalg.norm(pts[rep_of[cells]] - centers[rows], axis=1)
+        keep = np.flatnonzero(d <= r_search[rows] * (1 + 1e-12))
+        keep = keep[np.lexsort((cells[keep], rows[keep]))]
+        tiers[j + 1] = np.column_stack((tier[grown[rows[keep]]], cells[keep]))
 
     return Wssd(tiers=tiers, epsilon=epsilon, t=t, k=k, stats=stats)
 

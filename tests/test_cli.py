@@ -126,6 +126,24 @@ def test_wssd_pipeline_with_verify(tmp_path):
     assert out.read_text().startswith("wssd v1 ")
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_wssd_from_forest_file_matches_built_forest(tmp_path, k):
+    # the forest file round trip must not change the decomposition
+    pts = tmp_path / "pts.txt"
+    run(["gen-data", "--kind", "uniform", "--n", "40", "--d", "3",
+         "--seed", "8", "--output", str(pts)])
+    forest = tmp_path / "forest.txt"
+    assert run(["build-forest", "--input", str(pts), "--output", str(forest),
+                "--t", "0.5", "--seed", "6"]) == 0
+    common = ["--input", str(pts), "--t", "0.25", "--epsilon", "0.5", "--k", str(k),
+              "--seed", "6"]
+    built, loaded = tmp_path / "built.wssd", tmp_path / "loaded.wssd"
+    assert run(["wssd", *common, "--output", str(built)]) == 0
+    assert run(["wssd", *common, "--forest", str(forest), "--output", str(loaded)]) == 0
+    assert f"tuple {k} " in built.read_text()
+    assert loaded.read_bytes() == built.read_bytes()
+
+
 def test_cech_pipeline_with_verify(tmp_path):
     pts = tmp_path / "pts.txt"
     run(["gen-data", "--kind", "uniform", "--n", "20", "--d", "3",

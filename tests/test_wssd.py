@@ -15,6 +15,7 @@ from scalenets.wssd import (
 )
 
 from conftest import DEEP_CLOUDS, quantile_scale, structural_corpora
+from wssd_reference import reference_tiers
 
 
 def build2t(cloud, t):
@@ -185,6 +186,36 @@ def test_root_cap_instances_still_cover():
     assert wssd.stats["capped"] > 0
     report = verify_wssd(cloud, forest, wssd, 0.5, 2, t)
     assert not report.coverage_violations
+
+
+def test_matches_rel_walk_reference():
+    # The reference finds each tuple's cells through rel lists, the roots
+    # within 7t and subtree descents; gen_wssd through kd-trees over the
+    # cells of each level. Tiers, row order and stats must agree. Tier 3 is
+    # taken at n=30: at n=60 it runs to millions of rows.
+    cases = [(name, cloud, t, 2) for name, cloud, t in structural_corpora(60)]
+    cases += [(name, cloud, t, 3) for name, cloud, t in structural_corpora(30)]
+    cases += [(name, cloud, t / 2, 2) for name, cloud, t in DEEP_CLOUDS]
+    for seed in (800, 801):  # criterion 08's root-cap clouds
+        cloud = generate("clustered", n=40, d=3, seed=seed, clusters=3,
+                         separation=6.0, spread=0.9)
+        cases.append((f"root-cap-{seed}", cloud, 1.6, 2))
+    forests = [(name, cloud, build2t(cloud, t), k) for name, cloud, t, k in cases]
+    name, cloud, t = structural_corpora(60)[1]
+    forests.append((name + "-lsh", cloud, build_forest(cloud, 2 * t, 3, nn="lsh"), 3))
+    capped = walked = 0  # rows searched from the roots, and through rel lists
+    for name, cloud, forest, k in forests:
+        wssd = gen_wssd(forest, cloud, 0.5, k)
+        tiers, stats = reference_tiers(forest, cloud, 0.5, k)
+        assert sorted(wssd.tiers) == sorted(tiers), name
+        for j in tiers:
+            assert wssd.tiers[j].dtype == tiers[j].dtype, (name, j)
+            assert np.array_equal(wssd.tiers[j], tiers[j]), (name, j)
+        assert wssd.stats == stats, name
+        extended = sum(len(tiers[j]) for j in range(1, k)) - stats["skipped"]
+        capped += stats["capped"]
+        walked += extended - stats["capped"]
+    assert capped > 0 and walked > 0
 
 
 @pytest.mark.parametrize(
