@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -39,7 +40,7 @@ import numpy as np
 # and its smoke test requires every traced name to resolve
 from .forest import COVER_COEF, TAU, NetForest, build_forest, vcell  # noqa: F401
 from .geometry import (
-    RTOL, PointCloud, exact_meb, meb_radii, parse_fields, read_records, row_distances,
+    RTOL, PointCloud, exact_meb, match_rows, meb_radii, parse_fields, read_records, row_distances,
 )
 from .wssd import Wssd, gen_wssd
 
@@ -167,7 +168,7 @@ def build_filtration(
             # the level-(h-1) cells are disjoint subtrees, each an id range
             # of the preorder, that cover every leaf: a leaf's cell is the
             # last cell id at or below its own
-            cells = np.flatnonzero((forest.low < h) & (h <= forest.high))
+            cells = forest.cells(h - 1)
             cell_rep = forest.rep[cells[np.searchsorted(cells, forest.leaf_of, "right") - 1]]
             keys = _slice_keys([np.sort(cell_rep[reps[top < h]], axis=1) for top, reps in tiers])
             radii = [
@@ -315,42 +316,39 @@ def write_filtration(path: str | Path, output: FiltrationOutput) -> None:
 
 
 _SLICE_FIELDS = {"alpha": float, "h": int}
+# one alternative per record kind; only the matching kind's groups are set
+_FILTRATION_ROW = re.compile(
+    r"slice (.*)|vmap ([0-9]+) ([0-9]+)|simplex ([0-9]+)((?: [0-9]+){2,})"
+)
 
 
 def read_filtration(path: str | Path) -> FiltrationOutput:
     """Inverse of `write_filtration`.
 
     Rejects a header without epsilon or t, a slice line without alpha or h,
-    `vmap` lines that are not two ids, `simplex` lines whose dimension field
-    is not their vertex count minus one or below 1, vertices that are not
-    strictly ascending, and negative ids.
+    lines other than `slice`, `vmap p q` and `simplex dim v0 v1 ...` with
+    non-negative ids and at least two vertices, a dimension field other
+    than the vertex count minus one, and vertices that are not strictly
+    ascending.
     """
     (epsilon, t), body = read_records(path, "cechapprox", epsilon=float, t=float)
     slices: list[FiltrationSlice] = []
     current: FiltrationSlice | None = None
-    for row in body:
-        kind, toks = row[0], row[1:]
-        if kind != "slice" and current is None:
-            raise ValueError(f"{path}: {kind} before any slice")
-        try:
-            if kind == "slice":
-                alpha, h = parse_fields(toks, _SLICE_FIELDS)
-                current = FiltrationSlice(alpha, h, {}, set())
-                slices.append(current)
-                continue
-            ids = [int(v) for v in toks]
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed line {' '.join(row)!r}") from exc
-        if kind == "vmap" and len(ids) == 2 and min(ids) >= 0:
-            current.vertex_map[ids[0]] = ids[1]
-        elif (
-            kind == "simplex"
-            and len(ids) >= 3
-            and ids[0] == len(ids) - 2
-            and 0 <= ids[1]
-            and all(a < b for a, b in zip(ids[1:], ids[2:]))
-        ):
-            current.simplices.add(tuple(ids[1:]))
+    for row, (fields, p, q, dim, vertices) in zip(body, match_rows(path, _FILTRATION_ROW, body)):
+        if fields is not None:
+            try:
+                alpha, h = parse_fields(fields.split(), _SLICE_FIELDS)
+            except (KeyError, ValueError) as exc:
+                raise ValueError(f"{path}: malformed line {' '.join(row)!r}") from exc
+            current = FiltrationSlice(alpha, h, {}, set())
+            slices.append(current)
+        elif current is None:
+            raise ValueError(f"{path}: {row[0]} before any slice")
+        elif p is not None:
+            current.vertex_map[int(p)] = int(q)
         else:
-            raise ValueError(f"{path}: malformed line {' '.join(row)!r}")
+            vertices = tuple(map(int, vertices.split()))
+            if int(dim) != len(vertices) - 1 or any(a >= b for a, b in zip(vertices, vertices[1:])):
+                raise ValueError(f"{path}: malformed line {' '.join(row)!r}")
+            current.simplices.add(vertices)
     return FiltrationOutput(slices=slices, epsilon=epsilon, t=t)

@@ -32,12 +32,13 @@ leaves in that range, so no node stores its points.
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 
 from . import lsh as _lsh
-from .geometry import RTOL, ExactNearNeighbours, PointCloud, read_records, row_distances
+from .geometry import RTOL, ExactNearNeighbours, PointCloud, match_rows, read_records, row_distances
 
 __all__ = [
     "TAU",
@@ -53,7 +54,6 @@ __all__ = [
     "augment_rel",
     "brute_force_rel",
     "extract_net",
-    "nodes_at_level",
     "descend_to_level",
     "vcell",
     "check_forest",
@@ -169,18 +169,25 @@ class NetForest:
         sub = slice(v, v + self.size[v])
         return np.sort(self.rep[sub][self.is_leaf[sub]])
 
+    def cells(self, level: int) -> np.ndarray:
+        """Ids of the nodes whose level interval [low, high) holds `level`, ascending."""
+        return np.flatnonzero((self.low <= level) & (level < self.high))
+
     def roots_within_7t(self, cloud: PointCloud) -> dict[int, list[int]]:
-        """Per-root ids of roots with representative distance <= 7t.
+        """Per-root ids of roots with representative distance <= 7t, ascending.
 
         No stage of the pipeline calls it: the WSPD seeds on 3t and the
         WSSD queries cells directly. Only the tests' references (the scalar
         WSPD and the rel-walk WSSD) and perfbench's tracer use it. One exact
-        radius query over the root representatives.
+        pair query over the root representatives.
         """
-        roots = self.roots.tolist()
-        reps = cloud.points[self.rep[self.roots]]
-        near = ExactNearNeighbours(reps, 7.0 * self.t).near_rows(reps)
-        return {r: [roots[j] for j in hits] for r, hits in zip(roots, near)}
+        roots = self.roots
+        pairs = ExactNearNeighbours(cloud.points[self.rep[roots]], 7.0 * self.t).all_near_pairs()
+        near = {r: [r] for r in roots.tolist()}
+        for a, b in roots[pairs].tolist():
+            near[a].append(b)
+            near[b].append(a)
+        return {r: sorted(ids) for r, ids in near.items()}
 
 
 def root_level(t: float) -> int:
@@ -446,9 +453,9 @@ def descend_to_level(forest: NetForest, node_id: int, level: int) -> list[int]:
     These are the subtree nodes whose level interval [low, high) holds
     `level`; the caller guarantees `level` is below `high[node_id]`.
     """
-    sub = slice(node_id, node_id + forest.size[node_id])
-    hit = (forest.low[sub] <= level) & (level < forest.high[sub])
-    return (node_id + np.flatnonzero(hit)).tolist()
+    cells = forest.cells(level)
+    lo, hi = np.searchsorted(cells, [node_id, node_id + forest.size[node_id]])
+    return cells[lo:hi].tolist()
 
 
 def augment_rel(forest: NetForest, cloud: PointCloud) -> None:
@@ -471,7 +478,7 @@ def augment_rel(forest: NetForest, cloud: PointCloud) -> None:
     non_root = forest.parent >= 0
     for lev in np.unique(forest.level[non_root]).tolist():
         members = np.flatnonzero(non_root & (forest.level == lev))
-        cells = np.flatnonzero((forest.low <= lev) & (lev < forest.high))
+        cells = forest.cells(lev)
         threshold = REL_COEF * float(TAU) ** lev
         # the kd-tree radius is padded so that its own rounding cannot drop
         # a pair; `_within` makes the final call
@@ -520,12 +527,7 @@ def extract_net(forest: NetForest, level: int) -> list[int]:
         raise ValueError(
             f"level {level} above the represented range (root level {forest.root_level})"
         )
-    return np.unique(forest.rep[nodes_at_level(forest, level)]).tolist()
-
-
-def nodes_at_level(forest: NetForest, level: int) -> list[int]:
-    """Node ids forming the cell partition at `level`."""
-    return np.flatnonzero((forest.low <= level) & (level < forest.high)).tolist()
+    return np.unique(forest.rep[forest.cells(level)]).tolist()
 
 
 def vcell(forest: NetForest, p: int, h: int) -> int:
@@ -645,50 +647,38 @@ def write_forest(path: str | Path, forest: NetForest, dim: int) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_NODE = re.compile(
+    r"node ([0-9]+) parent=(-|[0-9]+) level=(-?[0-9]+) rep=([0-9]+)"
+    r" children=((?:[0-9]+(?:,[0-9]+)*)?) rel=((?:[0-9]+(?:,[0-9]+)*)?)"
+)
+
+
 def read_forest(path: str | Path) -> NetForest:
     """Inverse of `write_forest`; rejects files that are not a valid forest.
 
-    Raises ValueError for malformed lines, ids that are not dense, children
-    lists that disagree with the parent fields, ids that are not a DFS
-    preorder, rel or rep ids out of range, leaf reps that are not exactly
-    the points 0..n-1 of the header, a t without a root level, and a root
-    line or header `root_level` other than `root_level(t)`.
+    Raises ValueError for lines other than `write_forest`'s node lines in id
+    order, children lists other than the parent fields give, ids that are
+    not a DFS preorder, rel or rep ids out of range, leaf reps that are not
+    exactly the points 0..n-1 of the header, a t without a root level, and
+    a root line or header `root_level` other than `root_level(t)`.
     """
     (n, t, tau, rl), body = read_records(path, "netforest", n=int, t=float, tau=int, root_level=int)
     if tau != TAU:
         raise ValueError(f"{path}: unsupported tau {tau}")
-
-    rows = []
-    for toks in body:
-        if toks[0] != "node":
-            raise ValueError(f"{path}: unexpected line {' '.join(toks)!r}")
-        try:
-            # split inline: a `parse_fields` call per node line costs a fifth
-            # of this loop
-            fields = dict(tok.split("=", 1) for tok in toks[2:])
-            rows.append((
-                int(toks[1]),
-                -1 if fields["parent"] == "-" else int(fields["parent"]),
-                int(fields["level"]),
-                int(fields["rep"]),
-                [int(c) for c in fields["children"].split(",") if c],
-                [int(r) for r in fields["rel"].split(",") if r],
-            ))
-        except (IndexError, KeyError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed line {' '.join(toks)!r}") from exc
-    rows.sort(key=lambda row: row[0])
-    if [row[0] for row in rows] != list(range(len(rows))):
-        raise ValueError(f"{path}: node ids must be dense")
-
-    _, parent, level, rep, children, rel = zip(*rows) if rows else ((),) * 6
-    rel_ptr = np.cumsum([0] + [len(r) for r in rel])
+    rows = match_rows(path, _NODE, body)
+    ids, parent, level, rep, children, rel = zip(*rows) if rows else ((),) * 6
+    if list(map(int, ids)) != list(range(len(rows))):
+        raise ValueError(f"{path}: node lines are not in id order 0, 1, 2, ...")
+    rel = [r.split(",") if r else [] for r in rel]
+    rel_ptr = np.cumsum([0] + list(map(len, rel)))
     try:
-        forest = NetForest(parent, level, rep, rel_ptr, [r for rs in rel for r in rs], t)
+        forest = NetForest(
+            [-1 if p == "-" else int(p) for p in parent], list(map(int, level)),
+            list(map(int, rep)), rel_ptr, [int(r) for rs in rel for r in rs], t,
+        )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    flat = [c for cs in children for c in cs]
-    counts = np.diff(forest.child_ptr).tolist()
-    if flat != forest.child_ids.tolist() or list(map(len, children)) != counts:
+    if list(children) != _csr_lists(forest.child_ptr, forest.child_ids):
         raise ValueError(f"{path}: children lists disagree with the parent fields")
     if forest.n != n:
         raise ValueError(f"{path}: the leaves hold {forest.n} points, header says n={n}")

@@ -11,6 +11,7 @@ answer sits within rounding of a decision threshold.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -418,29 +419,20 @@ def write_points(path: str | Path, cloud: PointCloud) -> None:
 
 
 def read_points(path: str | Path) -> PointCloud:
-    rows: list[list[float]] = []
+    """Inverse of `write_points`, by `np.loadtxt`; `# dim=` fixes the row width."""
+    rows: list[str] = []
     declared_dim: int | None = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if line.startswith("# dim="):
-                declared_dim = int(line.split("=", 1)[1])
-            continue
-        try:
-            row = [float(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad coordinate: {exc}") from exc
-        rows.append(row)
+    for line in map(str.strip, Path(path).read_text().splitlines()):
+        if line.startswith("# dim="):
+            declared_dim = int(line.split("=", 1)[1])
+        elif line and not line.startswith("#"):
+            rows.append(line)
     if not rows:
         raise ValueError(f"{path}: no points")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: inconsistent dimensions {sorted(widths)}")
-    if declared_dim is not None and widths != {declared_dim}:
-        raise ValueError(f"{path}: header dim={declared_dim} but rows have {widths}")
-    return PointCloud(np.array(rows, dtype=np.float64))
+    points = np.loadtxt(rows, comments=None, ndmin=2)
+    if declared_dim is not None and points.shape[1] != declared_dim:
+        raise ValueError(f"{path}: header dim={declared_dim} but rows have {points.shape[1]}")
+    return PointCloud(points)
 
 
 def parse_fields(tokens: list[str], types: dict) -> list:
@@ -471,6 +463,15 @@ def read_records(path: str | Path, magic: str, **header) -> tuple[list, list[lis
     return values, [toks for toks in map(str.split, lines[1:]) if toks]
 
 
+def match_rows(path: str | Path, pattern: re.Pattern, rows: list[list[str]]) -> list[tuple]:
+    """Groups of `pattern` matched in full on each row's tokens joined by single spaces."""
+    lines = list(map(" ".join, rows))
+    found = list(map(pattern.fullmatch, lines))
+    if None in found:
+        raise ValueError(f"{path}: unexpected line {lines[found.index(None)]!r}")
+    return [m.groups() for m in found]
+
+
 # ---------------------------------------------------------------------------
 # exact near-neighbour primitive
 # ---------------------------------------------------------------------------
@@ -495,11 +496,6 @@ class ExactNearNeighbours:
     def __call__(self, i: int) -> np.ndarray:
         hits = self._tree.query_ball_point(self.points[i], self.r)
         return np.sort(np.asarray(hits, dtype=np.intp))
-
-    def near_rows(self, queries: np.ndarray) -> list[np.ndarray]:
-        """Sorted indices within the radius of each query row, in one batch."""
-        hits = self._tree.query_ball_point(queries, self.r)
-        return [np.sort(np.asarray(h, dtype=np.intp)) for h in hits]
 
     def near_pairs(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(query row, index) of every pair within the radius, in no set order."""

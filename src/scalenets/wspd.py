@@ -12,6 +12,7 @@ the decomposition from growing like n^2 at a fixed scale.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .forest import NetForest
-from .geometry import RTOL, PointCloud, pairwise_distances, read_records, row_distances
+from .geometry import RTOL, PointCloud, match_rows, pairwise_distances, read_records, row_distances
 
 __all__ = [
     "Wspd",
@@ -218,19 +219,15 @@ def write_wspd(path: str | Path, wspd: Wspd) -> None:
             fh.write("pair %d %d\n" * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
+_PAIR = re.compile(r"pair ([0-9]+) ([0-9]+)")
+
+
 def read_wspd(path: str | Path) -> Wspd:
-    """Inverse of `write_wspd`; rejects malformed lines and rows with u > v."""
+    """Inverse of `write_wspd`; rejects other lines and rows with u > v."""
     (epsilon, t), body = read_records(path, "wspd", epsilon=float, t=float)
-    rows: list[tuple[int, int]] = []
-    for toks in body:
-        if toks[0] != "pair" or len(toks) != 3:
-            raise ValueError(f"{path}: unexpected line {' '.join(toks)!r}")
-        try:
-            u, v = int(toks[1]), int(toks[2])
-        except ValueError as exc:
-            raise ValueError(f"{path}: unexpected line {' '.join(toks)!r}") from exc
-        if u > v:
-            raise ValueError(f"{path}: pair {u} {v} is not stored with u <= v")
-        rows.append((u, v))
-    pairs = np.array(rows, dtype=np.intp).reshape(-1, 2)
+    pairs = np.array(match_rows(path, _PAIR, body), dtype=np.intp).reshape(-1, 2)
+    descending = np.flatnonzero(pairs[:, 0] > pairs[:, 1])
+    if descending.size:
+        u, v = pairs[descending[0]].tolist()
+        raise ValueError(f"{path}: pair {u} {v} is not stored with u <= v")
     return Wspd(pairs=pairs, epsilon=epsilon, t=t)

@@ -22,6 +22,7 @@ reads them.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from itertools import chain, combinations, product
 from pathlib import Path
@@ -33,7 +34,7 @@ from scipy.spatial import cKDTree
 # `wssd.descend_to_level`, and its smoke test requires every traced name to resolve
 from .forest import COVER_COEF, REL_COEF, TAU, NetForest, descend_to_level  # noqa: F401
 from .geometry import (
-    RTOL, Ball, PointCloud, exact_meb, pairwise_distances, read_records, row_distances,
+    RTOL, Ball, PointCloud, exact_meb, match_rows, pairwise_distances, read_records, row_distances,
 )
 from .wspd import gen_wspd
 
@@ -172,7 +173,7 @@ def gen_wssd(forest: NetForest, cloud: PointCloud, epsilon: float, k: int) -> Ws
         rows, cells = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
         for lam in np.unique(lams).tolist():
             sel = np.flatnonzero(lams == lam)
-            at_lam = np.flatnonzero((forest.low <= lam) & (lam < forest.high))
+            at_lam = forest.cells(lam)
             hits = cKDTree(pts[rep_of[at_lam]]).query_ball_point(
                 centers[sel], r_search[sel] * (1 + 1e-9))
             rows.append(np.repeat(sel, list(map(len, hits))))
@@ -299,30 +300,26 @@ def write_wssd(path: str | Path, wssd: Wssd) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_TUPLE = re.compile(r"tuple ([0-9]+)((?: [0-9]+)+)")
+
+
 def read_wssd(path: str | Path) -> Wssd:
     """Inverse of `write_wssd`; a tier with no tuple line is absent.
 
-    Rejects a header without epsilon, t or a k >= 1, and tuple lines that
-    are malformed, sit in a tier outside 1..k, hold other than j+1 node ids
-    for tier j, or hold a negative id.
+    Rejects a header without epsilon, t or a k >= 1, lines other than
+    `tuple j id id ...` with non-negative ids, tuples in a tier outside
+    1..k, and tuples of other than j+1 node ids in tier j.
     """
     (epsilon, k, t), body = read_records(path, "wssd", epsilon=float, k=int, t=float)
     if k < 1:
         raise ValueError(f"{path}: k={k} must be >= 1")
-    rows: dict[int, list[list[int]]] = {}
-    for toks in body:
-        if toks[0] != "tuple" or len(toks) < 2:
-            raise ValueError(f"{path}: malformed line {' '.join(toks)!r}")
-        try:
-            j, nodes = int(toks[1]), [int(x) for x in toks[2:]]
-        except ValueError as exc:
-            raise ValueError(f"{path}: malformed line {' '.join(toks)!r}") from exc
+    rows: dict[int, list[list[str]]] = {}
+    for j, nodes in match_rows(path, _TUPLE, body):
+        j, nodes = int(j), nodes.split()
         if not 1 <= j <= k:
             raise ValueError(f"{path}: tier {j} outside 1..k={k}")
         if len(nodes) != j + 1:
             raise ValueError(f"{path}: tier {j} tuple with {len(nodes)} nodes")
-        if min(nodes) < 0:
-            raise ValueError(f"{path}: negative node id in {' '.join(toks)!r}")
         rows.setdefault(j, []).append(nodes)
     tiers = {j: np.array(r, dtype=np.intp).reshape(-1, j + 1) for j, r in rows.items()}
     return Wssd(tiers=tiers, epsilon=epsilon, t=t, k=k)

@@ -7,6 +7,7 @@ production builder must give the same arrays.
 """
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from scalenets.forest import (
     REL_COEF,
@@ -117,10 +118,11 @@ def rel_fill(forest: NetForest, cloud: PointCloud) -> None:
         members = np.flatnonzero(non_root & (forest.level == lev))
         cells = np.flatnonzero((forest.low <= lev) & (lev < forest.high))
         threshold = REL_COEF * float(TAU) ** lev
-        index = ExactNearNeighbours(pts[rep[cells]], threshold * (1 + 1e-9))
-        for u, hits in zip(members.tolist(), index.near_rows(pts[rep[members]])):
-            for j in hits.tolist():
-                if np.linalg.norm(pts[rep[u]] - index.points[j]) <= threshold:
+        cell_pts = pts[rep[cells]]
+        near = cKDTree(cell_pts).query_ball_point(pts[rep[members]], threshold * (1 + 1e-9))
+        for u, hits in zip(members.tolist(), near):
+            for j in hits:
+                if np.linalg.norm(pts[rep[u]] - cell_pts[j]) <= threshold:
                     rows.append(u)
                     cols.append(int(cells[j]))
     rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)

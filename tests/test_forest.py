@@ -19,7 +19,6 @@ from scalenets.forest import (
     check_forest,
     descend_to_level,
     extract_net,
-    nodes_at_level,
     read_forest,
     root_level,
     vcell,
@@ -440,7 +439,7 @@ def test_level_queries_match_tree_walks(corpora):
         forest = build_forest(cloud, t, nn="exact")
         for level in range(int(forest.level.min()) - 1, forest.root_level + 1):
             want = [v for r in forest.roots.tolist() for v in walk_cells(forest, r, level)]
-            assert nodes_at_level(forest, level) == want, (name, level)
+            assert forest.cells(level).tolist() == want, (name, level)
             assert extract_net(forest, level) == sorted({int(forest.rep[v]) for v in want})
             for v in range(forest.n_nodes):
                 parent = forest.parent[v]
@@ -575,6 +574,22 @@ def test_read_rejects_ids_not_preorder(tmp_path):
 def test_read_rejects_root_level_not_of_t(tmp_path, changes, header, match):
     with pytest.raises(ValueError, match=match):
         read_forest(write_nodes(tmp_path, changes, header))
+
+
+@pytest.mark.parametrize("changes, match", [
+    ([(1, FOREST_NODES[2]), (2, FOREST_NODES[1])], "not in id order"),
+    # keys reordered, or one key too many
+    ([(2, "node 2 level=-3 parent=1 rep=0 children= rel=2")], "unexpected line"),
+    ([(2, "node 2 parent=1 level=-3 rep=0 children= rel=2 extra=1")], "unexpected line"),
+    # signed, negative and non-ASCII ids, and an empty rel entry
+    ([(2, "node 2 parent=+1 level=-3 rep=0 children= rel=2")], "unexpected line"),
+    ([(2, "node 2 parent=1 level=-3 rep=0 children= rel=-2")], "unexpected line"),
+    ([(2, "node 2 parent=1 level=-3 rep=\u0660 children= rel=2")], "unexpected line"),
+    ([(2, "node 2 parent=1 level=-3 rep=0 children= rel=2,")], "unexpected line"),
+])
+def test_read_rejects_lines_outside_the_writer_grammar(tmp_path, changes, match):
+    with pytest.raises(ValueError, match=match):
+        read_forest(write_nodes(tmp_path, changes))
 
 
 def test_read_rejects_parent_after_child(tmp_path):

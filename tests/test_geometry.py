@@ -325,6 +325,31 @@ def test_point_file_roundtrip(tmp_path):
     assert path.read_text().splitlines()[0] == "# dim=5"
 
 
+EXTREMES = [5e-324, 1e-150, 1e150, 1.7976931348623157e308, -0.0]
+
+
+@pytest.mark.parametrize("points", [
+    [EXTREMES, [-x for x in EXTREMES]],
+    [[x] for x in EXTREMES],  # d = 1
+    [EXTREMES],               # n = 1
+    [[-0.0]],                 # n = 1, d = 1
+])
+def test_point_file_roundtrip_is_bit_exact(tmp_path, points):
+    cloud = PointCloud(np.array(points))
+    path = tmp_path / "pts.txt"
+    write_points(path, cloud)
+    back = read_points(path)
+    assert back.points.shape == cloud.points.shape
+    assert back.points.tobytes() == cloud.points.tobytes()
+
+
+def test_point_file_rejects_inline_comment(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# dim=2\n0 0\n1 1 # a comment\n")
+    with pytest.raises(ValueError):
+        read_points(path)
+
+
 def test_point_file_headerless(tmp_path):
     path = tmp_path / "bare.txt"
     path.write_text("0 0\n1 1\n")

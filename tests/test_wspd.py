@@ -264,7 +264,8 @@ def test_read_rejects_descending_pair(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "line", ["pair 1", "pair 1 2 3", "pear 1 2", "pair 1 x", "pair 1.5 2"]
+    "line",
+    ["pair 1", "pair 1 2 3", "pear 1 2", "pair 1 x", "pair 1.5 2", "pair -1 2", "pair +1 2"],
 )
 def test_read_rejects_malformed_line(tmp_path, line):
     path = tmp_path / "bad.wspd"
